@@ -42,7 +42,7 @@
 // run against an archived BENCH_*.json and fails on a regression:
 // *_events_per_sec and *_msgs_per_sec must stay above 0.8× the
 // baseline, *_cycles_per_msg, *_cycles_per_syscall and *_p99_lat_us
-// below 1.25×, and *_swap_window_ms below 1.5× (the hot-swap quiesce
+// below 1.25×, and *swap_window_ms below 1.5× (the hot-swap quiesce
 // window must not quietly lengthen). CI runs `-scenario
 // engine,x7-saturation,x9-cluster,x10-autoscale,x11-syscalls,x12-dataplane
 // -baseline BENCH_0010.json` per commit.
@@ -558,7 +558,20 @@ var baselineClasses = []baselineClass{
 	// The hot-swap quiesce→replay window is virtual-clock deterministic
 	// for a seed; the band leaves room for intentional cost-model shifts
 	// while still catching a mutation path that stops overlapping work.
-	{suffix: "_swap_window_ms", band: swapBand, ceiling: true},
+	// The suffix is the bare key, which x10 and x11 emit as is and x12
+	// behind a "soak_" prefix.
+	{suffix: "swap_window_ms", band: swapBand, ceiling: true},
+}
+
+// classOf returns the regression class of a metric key, or nil for a key
+// the baseline gate does not check.
+func classOf(key string) *baselineClass {
+	for i := range baselineClasses {
+		if strings.HasSuffix(key, baselineClasses[i].suffix) {
+			return &baselineClasses[i]
+		}
+	}
+	return nil
 }
 
 // compareBaseline checks every classed metric (throughput floors,
@@ -577,14 +590,6 @@ func compareBaseline(rep *report, path string, verbose bool) error {
 	baseMetrics := map[string]map[string]float64{}
 	for _, s := range base.Scenarios {
 		baseMetrics[s.Name] = s.Metrics
-	}
-	classOf := func(key string) *baselineClass {
-		for i := range baselineClasses {
-			if strings.HasSuffix(key, baselineClasses[i].suffix) {
-				return &baselineClasses[i]
-			}
-		}
-		return nil
 	}
 	var regressions []string
 	compared := 0

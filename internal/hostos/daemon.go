@@ -52,6 +52,7 @@ type IdleLoad struct {
 // idle rows report.
 func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
 	il := &IdleLoad{}
+	kBytes := int(float64(cfg.ResidentBytes) * cfg.KernelFraction)
 	for i := 0; i < cfg.Daemons; i++ {
 		t := m.NewTask(fmt.Sprintf("daemon%d", i))
 		il.tasks = append(il.tasks, t)
@@ -62,7 +63,6 @@ func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
 
 		var wake func()
 		wake = func() {
-			kBytes := int(float64(cfg.ResidentBytes) * cfg.KernelFraction)
 			m.l2.AccessRange(cache.Kernel, resident, kBytes)
 			m.l2.AccessRange(cache.User, resident+uint64(kBytes), cfg.ResidentBytes-kBytes)
 			if cfg.StreamBytes > 0 {
