@@ -228,7 +228,10 @@ type (
 	// SyscallService is the host-side dispatcher: a worker pool executing
 	// unmarshaled calls against the host VFS with at-most-once dedup.
 	SyscallService = syscall.Service
-	// SyscallCompletion is what a syscall continuation receives.
+	// SyscallCompletion is what a syscall continuation receives. It is
+	// borrowed: it and its Results are valid only while the continuation
+	// runs, so copy out anything needed later (the values in Results are
+	// the continuation's to keep).
 	SyscallCompletion = syscall.Completion
 	// SyscallOp names one host syscall operation (OpOpen … OpClock).
 	SyscallOp = syscall.Op

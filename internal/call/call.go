@@ -51,41 +51,71 @@ const (
 	tagBytes
 )
 
-func appendValue(b []byte, v any) ([]byte, error) {
+// valueSize is the wire size of one tagged value, or the error Marshal
+// reports for it. Marshal sizes its buffer with it, so appendValue never
+// grows the slice and never fails.
+func valueSize(v any) (int, error) {
 	switch x := v.(type) {
 	case bool:
-		b = append(b, tagBool)
-		if x {
-			return append(b, 1), nil
+		return 2, nil
+	case int, int64, uint64, float64:
+		return 9, nil
+	case string:
+		if uint64(len(x)) > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
 		}
-		return append(b, 0), nil
+		return 5 + len(x), nil
+	case []byte:
+		if uint64(len(x)) > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: blob of %d bytes", ErrTooLarge, len(x))
+		}
+		return 5 + len(x), nil
+	default:
+		return 0, fmt.Errorf("%w: %T", ErrUnsupported, v)
+	}
+}
+
+// valuesSize sums valueSize over vs.
+func valuesSize(vs []any) (int, error) {
+	n := 0
+	for _, v := range vs {
+		sz, err := valueSize(v)
+		if err != nil {
+			return 0, err
+		}
+		n += sz
+	}
+	return n, nil
+}
+
+// appendValue appends one value valueSize has accepted.
+func appendValue(b []byte, v any) []byte {
+	switch x := v.(type) {
+	case bool:
+		if x {
+			return append(b, tagBool, 1)
+		}
+		return append(b, tagBool, 0)
 	case int:
 		return appendValue(b, int64(x))
 	case int64:
 		b = append(b, tagInt64)
-		return binary.LittleEndian.AppendUint64(b, uint64(x)), nil
+		return binary.LittleEndian.AppendUint64(b, uint64(x))
 	case uint64:
 		b = append(b, tagUint64)
-		return binary.LittleEndian.AppendUint64(b, x), nil
+		return binary.LittleEndian.AppendUint64(b, x)
 	case float64:
 		b = append(b, tagFloat64)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(x)), nil
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	case string:
-		if uint64(len(x)) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
-		}
 		b = append(b, tagString)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
-		return append(b, x...), nil
-	case []byte:
-		if uint64(len(x)) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: blob of %d bytes", ErrTooLarge, len(x))
-		}
+		return append(b, x...)
+	default: // []byte, the one remaining type valueSize accepts
+		blob := v.([]byte)
 		b = append(b, tagBytes)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
-		return append(b, x...), nil
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupported, v)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
+		return append(b, blob...)
 	}
 }
 
@@ -142,7 +172,8 @@ func readBlob(b []byte) ([]byte, []byte, error) {
 	return b[:n], b[n:], nil
 }
 
-// Marshal serializes a Call.
+// Marshal serializes a Call into a buffer sized exactly to the wire
+// (one allocation, cap == len).
 //
 // Wire: 'C', iface u64, returnDesc u64, methodLen u16 + method,
 // argc u16, tagged values. The u16 fields bound the method name and the
@@ -156,49 +187,84 @@ func Marshal(c *Call) ([]byte, error) {
 	if len(c.Args) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d arguments", ErrTooLarge, len(c.Args))
 	}
-	b := []byte{'C'}
+	n, err := valuesSize(c.Args)
+	if err != nil {
+		return nil, fmt.Errorf("call %s: %w", c.Method, err)
+	}
+	b := make([]byte, 0, 1+8+8+2+len(c.Method)+2+n)
+	b = append(b, 'C')
 	b = binary.LittleEndian.AppendUint64(b, uint64(c.Iface))
 	b = binary.LittleEndian.AppendUint64(b, c.ReturnDesc)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Method)))
 	b = append(b, c.Method...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Args)))
-	var err error
 	for _, a := range c.Args {
-		if b, err = appendValue(b, a); err != nil {
-			return nil, fmt.Errorf("call %s: %w", c.Method, err)
-		}
+		b = appendValue(b, a)
 	}
 	return b, nil
 }
 
-// Unmarshal parses a serialized Call.
+// Unmarshal parses a serialized Call into a fresh Call.
 func Unmarshal(b []byte) (*Call, error) {
-	if len(b) < 1+8+8+2 || b[0] != 'C' {
-		return nil, ErrBadWire
-	}
-	c := &Call{Iface: guid.GUID(binary.LittleEndian.Uint64(b[1:]))}
-	c.ReturnDesc = binary.LittleEndian.Uint64(b[9:])
-	mlen := int(binary.LittleEndian.Uint16(b[17:]))
-	rest := b[19:]
-	if len(rest) < mlen+2 {
-		return nil, ErrBadWire
-	}
-	c.Method = string(rest[:mlen])
-	rest = rest[mlen:]
-	argc := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	for i := 0; i < argc; i++ {
-		v, r, err := readValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		c.Args = append(c.Args, v)
-		rest = r
+	c := new(Call)
+	if err := DecodeCall(b, c); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// MarshalReply serializes a Reply.
+// DecodeCall parses a serialized Call into c, reusing c's storage: the
+// Args backing array is refilled in place when it is large enough, and
+// c.Method keeps its string when the wire carries the same bytes. The
+// decoded values themselves are fresh (strings and blobs never alias b).
+// On error c's contents are unspecified.
+func DecodeCall(b []byte, c *Call) error {
+	if len(b) < 1+8+8+2 || b[0] != 'C' {
+		return ErrBadWire
+	}
+	c.Iface = guid.GUID(binary.LittleEndian.Uint64(b[1:]))
+	c.ReturnDesc = binary.LittleEndian.Uint64(b[9:])
+	mlen := int(binary.LittleEndian.Uint16(b[17:]))
+	rest := b[19:]
+	if len(rest) < mlen+2 {
+		return ErrBadWire
+	}
+	if c.Method != string(rest[:mlen]) {
+		c.Method = string(rest[:mlen])
+	}
+	rest = rest[mlen:]
+	argc := int(binary.LittleEndian.Uint16(rest))
+	var err error
+	c.Args, err = readValues(rest[2:], argc, c.Args)
+	return err
+}
+
+// readValues decodes count tagged values into dst's storage. The initial
+// capacity comes from count but never exceeds len(b)/2 — the smallest
+// value is two bytes — so a hostile count cannot force a large
+// allocation. Slots dst held beyond the new length are cleared so stale
+// values are not kept reachable.
+func readValues(b []byte, count int, dst []any) ([]any, error) {
+	out := dst[:0]
+	if cap(out) < count {
+		out = make([]any, 0, min(count, len(b)/2))
+	}
+	for i := 0; i < count; i++ {
+		v, rest, err := readValue(b)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, v)
+		b = rest
+	}
+	if len(dst) > len(out) {
+		clear(dst[len(out):])
+	}
+	return out, nil
+}
+
+// MarshalReply serializes a Reply into a buffer sized exactly to the
+// wire (one allocation, cap == len).
 //
 // Wire: 'R', returnDesc u64, errLen u16 + err, count u16, tagged values.
 // As with Marshal, overflowing a u16 length field is ErrTooLarge rather
@@ -210,44 +276,53 @@ func MarshalReply(r *Reply) ([]byte, error) {
 	if len(r.Results) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d results", ErrTooLarge, len(r.Results))
 	}
-	b := []byte{'R'}
+	n, err := valuesSize(r.Results)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, 1+8+2+len(r.Err)+2+n)
+	b = append(b, 'R')
 	b = binary.LittleEndian.AppendUint64(b, r.ReturnDesc)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Err)))
 	b = append(b, r.Err...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Results)))
-	var err error
 	for _, v := range r.Results {
-		if b, err = appendValue(b, v); err != nil {
-			return nil, err
-		}
+		b = appendValue(b, v)
 	}
 	return b, nil
 }
 
-// UnmarshalReply parses a serialized Reply.
+// UnmarshalReply parses a serialized Reply into a fresh Reply.
 func UnmarshalReply(b []byte) (*Reply, error) {
-	if len(b) < 1+8+2 || b[0] != 'R' {
-		return nil, ErrBadWire
+	r := new(Reply)
+	if err := DecodeReply(b, r); err != nil {
+		return nil, err
 	}
-	r := &Reply{ReturnDesc: binary.LittleEndian.Uint64(b[1:])}
+	return r, nil
+}
+
+// DecodeReply parses a serialized Reply into r, reusing r's storage the
+// way DecodeCall reuses a Call's: Results is refilled in place and r.Err
+// keeps its string when the bytes are equal. On error r's contents are
+// unspecified.
+func DecodeReply(b []byte, r *Reply) error {
+	if len(b) < 1+8+2 || b[0] != 'R' {
+		return ErrBadWire
+	}
+	r.ReturnDesc = binary.LittleEndian.Uint64(b[1:])
 	elen := int(binary.LittleEndian.Uint16(b[9:]))
 	rest := b[11:]
 	if len(rest) < elen+2 {
-		return nil, ErrBadWire
+		return ErrBadWire
 	}
-	r.Err = string(rest[:elen])
+	if r.Err != string(rest[:elen]) {
+		r.Err = string(rest[:elen])
+	}
 	rest = rest[elen:]
 	count := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	for i := 0; i < count; i++ {
-		v, rr, err := readValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		r.Results = append(r.Results, v)
-		rest = rr
-	}
-	return r, nil
+	var err error
+	r.Results, err = readValues(rest[2:], count, r.Results)
+	return err
 }
 
 // --- Proxy: transparent invocation (§3.1) ---

@@ -169,8 +169,10 @@ func TestMarshalTooLarge(t *testing.T) {
 	}
 }
 
-// Fuzz: arbitrary bytes must never panic the Call decoder, and anything
-// it accepts must re-marshal to a wire that decodes to the same Call.
+// Fuzz: arbitrary bytes must never panic the Call decoder, anything it
+// accepts must re-marshal to a wire that decodes to the same Call, and
+// DecodeCall into a reused Call must decode exactly what a fresh
+// Unmarshal does.
 func FuzzUnmarshal(f *testing.F) {
 	seed, _ := Marshal(&Call{
 		Iface: 0x2001, Method: "Compute", ReturnDesc: 42,
@@ -182,6 +184,23 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Unmarshal(data)
+		// Decoding twice into one struct — first over the seed call's
+		// state, then over its own — must agree with the fresh decode.
+		reused, _ := Unmarshal(seed)
+		for pass := 0; pass < 2; pass++ {
+			rerr := DecodeCall(data, reused)
+			if (rerr == nil) != (err == nil) {
+				t.Fatalf("pass %d: DecodeCall err %v, Unmarshal err %v", pass, rerr, err)
+			}
+			if err != nil {
+				continue
+			}
+			want, _ := Marshal(c)
+			got, gerr := Marshal(reused)
+			if gerr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: reused decode drifted (%v):\n  got  %x\n  want %x", pass, gerr, got, want)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -202,7 +221,7 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// Fuzz: the Reply decoder, same contract.
+// Fuzz: the Reply decoder and DecodeReply, same contract.
 func FuzzUnmarshalReply(f *testing.F) {
 	seed, _ := MarshalReply(&Reply{
 		ReturnDesc: 9, Err: "boom",
@@ -214,6 +233,21 @@ func FuzzUnmarshalReply(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := UnmarshalReply(data)
+		reused, _ := UnmarshalReply(seed)
+		for pass := 0; pass < 2; pass++ {
+			rerr := DecodeReply(data, reused)
+			if (rerr == nil) != (err == nil) {
+				t.Fatalf("pass %d: DecodeReply err %v, UnmarshalReply err %v", pass, rerr, err)
+			}
+			if err != nil {
+				continue
+			}
+			want, _ := MarshalReply(r)
+			got, gerr := MarshalReply(reused)
+			if gerr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: reused decode drifted (%v):\n  got  %x\n  want %x", pass, gerr, got, want)
+			}
+		}
 		if err != nil {
 			return
 		}

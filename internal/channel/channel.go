@@ -34,6 +34,7 @@ import (
 	"hydra/internal/device"
 	"hydra/internal/hostos"
 	"hydra/internal/obs"
+	"hydra/internal/ring"
 	"hydra/internal/sim"
 )
 
@@ -248,15 +249,19 @@ type Endpoint struct {
 	ringSize int
 
 	handler   Handler
-	inbox     [][]byte // poll-mode queue (no handler installed)
-	seqFns    []func() // sequential dispatch backlog
-	dispatchB bool     // a sequential dispatch is running
+	inbox     [][]byte           // poll-mode queue (no handler installed)
+	seqFns    ring.Deque[func()] // sequential dispatch backlog
+	dispatchB bool               // a sequential dispatch is running
 	closed    bool
 
 	// Batching state: messages credited but not yet flushed, plus the
-	// coalescing timer armed when the first of them arrived.
+	// coalescing timer armed when the first of them arrived. coalesceFn
+	// is the timer's callback, bound on first use; batchDir is the
+	// direction it flushes.
 	batchMsgs  []*message
 	batchTimer sim.Event
+	batchDir   int
+	coalesceFn func()
 
 	// Quiesce state: while paused, groups arriving at this endpoint are
 	// held — payload copied into a kernel hold buffer, descriptor credits
@@ -294,8 +299,9 @@ type Channel struct {
 	b   *bus.Bus
 	cfg Config
 
-	creator *Endpoint
-	peers   []*Endpoint
+	creator   *Endpoint
+	peers     []*Endpoint
+	toCreator []*Endpoint // the peers→creator destination list, built once
 
 	// credits[dir] is per-direction ring availability; dir 0 is
 	// creator→peers (InRing), dir 1 is peers→creator (OutRing).
@@ -321,6 +327,8 @@ type Channel struct {
 	msgFree   []*message
 	batchFree [][]*message
 	sizeFree  [][]int
+	txFree    []*transfer
+	dlvFree   []*delivery
 }
 
 // poolCap bounds each free list so an idle channel does not pin the
@@ -402,7 +410,8 @@ func New(eng *sim.Engine, b *bus.Bus, cfg Config, creator *Endpoint) (*Channel, 
 	if cfg.Coalesce < 0 {
 		cfg.Coalesce = 0
 	}
-	ch := &Channel{eng: eng, b: b, cfg: cfg, creator: creator, tr: obs.ForCat(eng, obs.CatChannel)}
+	ch := &Channel{eng: eng, b: b, cfg: cfg, creator: creator, toCreator: []*Endpoint{creator},
+		tr: obs.ForCat(eng, obs.CatChannel)}
 	ch.credits[0] = cfg.RingEntries
 	ch.credits[1] = cfg.RingEntries
 	creator.ch = ch
@@ -530,6 +539,7 @@ func (e *Endpoint) Read() ([]byte, bool) {
 		return nil, false
 	}
 	m := e.inbox[0]
+	e.inbox[0] = nil // do not pin the popped payload
 	e.inbox = e.inbox[1:]
 	return m, true
 }
@@ -638,10 +648,14 @@ func (c *Channel) enqueueBatch(src *Endpoint, dir int, msg *message) {
 		return
 	}
 	if len(src.batchMsgs) == 1 {
-		src.batchTimer = c.eng.Schedule(c.cfg.Coalesce, func() {
-			src.batchTimer = sim.Event{}
-			c.flushBatch(src, dir, true)
-		})
+		if src.coalesceFn == nil {
+			src.coalesceFn = func() {
+				src.batchTimer = sim.Event{}
+				src.ch.flushBatch(src, src.batchDir, true)
+			}
+		}
+		src.batchDir = dir
+		src.batchTimer = c.eng.Schedule(c.cfg.Coalesce, src.coalesceFn)
 	}
 }
 
@@ -674,11 +688,9 @@ func (c *Channel) flushBatch(src *Endpoint, dir int, coalesced bool) {
 // transaction per destination, and one receiver notification, with only an
 // incremental per-descriptor cost for each extra message.
 func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
-	var dests []*Endpoint
+	dests := c.toCreator
 	if src == c.creator {
 		dests = c.peers
-	} else {
-		dests = []*Endpoint{c.creator}
 	}
 	n := len(msgs)
 	if len(dests) == 0 || n == 0 {
@@ -706,50 +718,12 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 		}
 	}
 
-	afterPrep := func() {
-		remaining := len(dests)
-		for _, dst := range dests {
-			dst := dst
-			// Multicast destinations each get private payload copies: a
-			// handler that mutates its message must never corrupt what a
-			// sibling receiver observes. (Fragment sizes are not copied:
-			// only the wire reads them, from the gather list built above.)
-			batch := msgs
-			if len(dests) > 1 {
-				batch = c.getBatch()
-				for _, m := range msgs {
-					cm := c.getMsg()
-					cm.data = append(cm.data, m.data...)
-					cm.id = m.id
-					batch = append(batch, cm)
-				}
-			}
-			c.wire(src, dst, sizes, total, func() {
-				c.deliver(dst, batch, func() {
-					remaining--
-					if remaining == 0 {
-						for i := 0; i < n; i++ {
-							c.releaseCredit(dir)
-						}
-					}
-				})
-			})
-		}
-		// The gather list is consumed synchronously by wire's DMA issue;
-		// multicast originals die here too, every receiver holding its
-		// own private copy by now.
-		c.putSizes(sizes)
-		if len(dests) > 1 {
-			c.putBatch(msgs, false)
-		}
-	}
-
+	tx := c.getTransfer()
+	tx.src, tx.dir, tx.n, tx.dests, tx.msgs, tx.sizes, tx.total = src, dir, n, dests, msgs, sizes, total
 	// Sender-side preparation: one kernel entry / firmware dispatch posts
 	// the whole group; descriptors beyond the first cost only their post.
 	if c.tr.On() {
-		h := c.tr.Begin(obs.CatChannel, trTx, int64(n))
-		inner := afterPrep
-		afterPrep = func() { c.tr.End(h); inner() }
+		tx.span = c.tr.Begin(obs.CatChannel, trTx, int64(n))
 	}
 	switch {
 	case src.host != nil:
@@ -760,11 +734,78 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 			src.task.Copy(cache.Kernel, srcAddr, src.ringBuf, total, nil)
 			cycles += src.host.CopyCycles(total)
 		}
-		src.task.Syscall(cycles, afterPrep)
+		src.task.Syscall(cycles, tx.afterPrepFn)
 	case src.dev != nil:
-		src.dev.Exec(500+100*uint64(n-1), afterPrep)
+		src.dev.Exec(500+100*uint64(n-1), tx.afterPrepFn)
 	default:
-		afterPrep()
+		tx.afterPrep()
+	}
+}
+
+// transfer is one transmitted group between sender-side preparation and
+// the last destination's delivery. Transfers are pooled per channel and
+// their continuation is bound once, so the hot path allocates no
+// closures per group.
+type transfer struct {
+	c         *Channel
+	src       *Endpoint
+	dir, n    int
+	dests     []*Endpoint
+	msgs      []*message
+	sizes     []int
+	total     int
+	remaining int            // destinations still delivering
+	span      obs.SpanHandle // trTx, open during preparation when tracing
+
+	afterPrepFn func()
+}
+
+// afterPrep puts the prepared group on the wire to every destination.
+func (tx *transfer) afterPrep() {
+	c := tx.c
+	if c.tr.On() {
+		c.tr.End(tx.span)
+	}
+	src, dests, msgs, sizes, total := tx.src, tx.dests, tx.msgs, tx.sizes, tx.total
+	tx.remaining = len(dests)
+	for _, dst := range dests {
+		// Multicast destinations each get private payload copies: a
+		// handler that mutates its message must never corrupt what a
+		// sibling receiver observes. (Fragment sizes are not copied:
+		// only the wire reads them, from the gather list built above.)
+		batch := msgs
+		if len(dests) > 1 {
+			batch = c.getBatch()
+			for _, m := range msgs {
+				cm := c.getMsg()
+				cm.data = append(cm.data, m.data...)
+				cm.id = m.id
+				batch = append(batch, cm)
+			}
+		}
+		d := c.getDelivery()
+		d.tx, d.dst, d.msgs = tx, dst, batch
+		c.wire(src, dst, sizes, total, d.wireDoneFn)
+	}
+	// The gather list is consumed synchronously by wire's DMA issue;
+	// multicast originals die here too, every receiver holding its
+	// own private copy by now.
+	c.putSizes(sizes)
+	if len(dests) > 1 {
+		c.putBatch(msgs, false)
+	}
+}
+
+// delivered retires one destination's delivery; the last one recycles
+// the transfer and returns the group's descriptor credits.
+func (tx *transfer) delivered() {
+	if tx.remaining--; tx.remaining > 0 {
+		return
+	}
+	c, dir, n := tx.c, tx.dir, tx.n
+	c.putTransfer(tx)
+	for i := 0; i < n; i++ {
+		c.releaseCredit(dir)
 	}
 }
 
@@ -810,133 +851,218 @@ func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) 
 	}
 }
 
+// delivery is one transfer group's journey to one destination: the wire
+// completion, the receiver's notification, the handler dispatch and the
+// bookkeeping after it. Deliveries are pooled per channel with their
+// continuations bound once, like transfers.
+type delivery struct {
+	c    *Channel
+	tx   *transfer // sending group to notify at the end; nil for a Resume replay
+	dst  *Endpoint
+	msgs []*message
+	// total is the group's payload bytes, read by the host-side dispatch.
+	total int
+	// Outcome, set by run before it completes: discarded at a closed
+	// endpoint, handed to the poll-mode inbox, or held at a paused one.
+	discarded, handed, heldOff bool
+	// complete is what run calls when dispatch is over: finishFn, or
+	// seqDoneFn on a sequential channel.
+	complete func()
+	span     obs.SpanHandle // trDeliver, open from deliver to finish when tracing
+
+	wireDoneFn, finishFn, seqFn, seqDoneFn, irqFn, invokeFn func()
+}
+
+func (c *Channel) getDelivery() *delivery {
+	if n := len(c.dlvFree); n > 0 {
+		d := c.dlvFree[n-1]
+		c.dlvFree[n-1] = nil
+		c.dlvFree = c.dlvFree[:n-1]
+		return d
+	}
+	d := &delivery{c: c}
+	d.wireDoneFn = d.deliver
+	d.finishFn, d.seqFn, d.seqDoneFn = d.finish, d.run, d.seqDone
+	d.irqFn, d.invokeFn = d.irq, d.invoke
+	return d
+}
+
+func (c *Channel) putDelivery(d *delivery) {
+	d.tx, d.dst, d.msgs, d.complete = nil, nil, nil, nil
+	d.total = 0
+	d.discarded, d.handed, d.heldOff = false, false, false
+	d.span = obs.SpanHandle{}
+	if len(c.dlvFree) < poolCap {
+		c.dlvFree = append(c.dlvFree, d)
+	}
+}
+
+func (c *Channel) getTransfer() *transfer {
+	if n := len(c.txFree); n > 0 {
+		tx := c.txFree[n-1]
+		c.txFree[n-1] = nil
+		c.txFree = c.txFree[:n-1]
+		return tx
+	}
+	tx := &transfer{c: c}
+	tx.afterPrepFn = tx.afterPrep
+	return tx
+}
+
+func (c *Channel) putTransfer(tx *transfer) {
+	tx.src, tx.dests, tx.msgs, tx.sizes = nil, nil, nil, nil
+	tx.dir, tx.n, tx.total, tx.remaining = 0, 0, 0, 0
+	tx.span = obs.SpanHandle{}
+	if len(c.txFree) < poolCap {
+		c.txFree = append(c.txFree, tx)
+	}
+}
+
 // deliver dispatches a delivered group at the receiver and recycles its
 // descriptors. One notification — host interrupt or device doorbell —
 // retires the whole group; each message still gets its own handler
 // invocation, in order.
-func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
-	n := len(msgs)
-	discarded := false
-	handed := false
-	heldOff := false
+func (d *delivery) deliver() {
+	c, dst := d.c, d.dst
 	dst.inflight++
-	finish := func() {
-		dst.inflight--
-		dst.checkDrained()
-		switch {
-		case discarded:
-			// The destination closed while the group was on the wire: the
-			// messages were never handed to a handler or inbox, so they are
-			// undelivered, not delivered.
-			c.stats.Undelivered += uint64(n)
-		case heldOff:
-			// Parked at a paused endpoint; Delivered counts at replay.
-		default:
-			c.stats.Delivered += uint64(n)
-		}
-		// Handlers have returned (or the inbox owns the payloads): the
-		// batch and its envelopes go back to the pool.
-		c.putBatch(msgs, handed)
-		done()
-	}
 	if c.tr.On() {
-		h := c.tr.Begin(obs.CatChannel, trDeliver, int64(n))
-		inner := finish
-		finish = func() { c.tr.End(h); inner() }
+		d.span = c.tr.Begin(obs.CatChannel, trDeliver, int64(len(d.msgs)))
 	}
-	run := func(complete func()) {
-		if dst.closed {
-			discarded = true
-			complete()
-			return
-		}
-		if dst.paused {
-			heldOff = true
-			c.holdGroup(dst, msgs)
-			complete()
-			return
-		}
-		if dst.handler == nil {
-			handed = true
-			for _, m := range msgs {
-				dst.inbox = append(dst.inbox, m.data)
-			}
-			if c.tr.On() {
-				for _, m := range msgs {
-					c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
-				}
-			}
-			complete()
-			return
-		}
-		total := 0
-		for _, m := range msgs {
-			total += len(m.data)
-		}
-		invoke := func() {
-			for _, m := range msgs {
-				dst.handler(m.data)
-			}
-			if c.tr.On() {
-				for _, m := range msgs {
-					c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
-				}
-			}
-			complete()
-		}
-		switch {
-		case dst.host != nil:
-			// One interrupt, then one kernel entry dispatching the group.
-			c.stats.Interrupts++
-			if c.tr.On() {
-				c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
-			}
-			dst.host.Interrupt(dst.name, 600, func() {
-				cycles := uint64(2000) + 500*uint64(n-1)
-				// Zero copy still reads the DMA-ed payload once.
-				dst.task.TouchRange(cache.Kernel, dst.ringBuf, total)
-				if !c.cfg.ZeroCopyRead {
-					cycles += dst.host.CopyCycles(total)
-				}
-				dst.task.Syscall(cycles, invoke)
-			})
-		case dst.dev != nil:
-			c.stats.Interrupts++
-			if c.tr.On() {
-				c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
-			}
-			dst.dev.Exec(800+200*uint64(n-1), invoke)
-		default:
-			invoke()
-		}
-	}
-
 	if c.cfg.Sync == SyncSequential {
-		seq := func() {
-			run(func() {
-				finish()
-				dst.dispatchB = false
-				dst.pumpSequential(c)
-			})
-		}
-		dst.seqFns = append(dst.seqFns, seq)
+		d.complete = d.seqDoneFn
+		dst.seqFns.PushBack(d.seqFn)
 		dst.pumpSequential(c)
 		return
 	}
-	run(finish)
+	d.complete = d.finishFn
+	d.run()
+}
+
+// run hands the group to its destination and calls d.complete when the
+// dispatch is over.
+func (d *delivery) run() {
+	c, dst, msgs := d.c, d.dst, d.msgs
+	if dst.closed {
+		d.discarded = true
+		d.complete()
+		return
+	}
+	if dst.paused {
+		d.heldOff = true
+		c.holdGroup(dst, msgs)
+		d.complete()
+		return
+	}
+	if dst.handler == nil {
+		d.handed = true
+		for _, m := range msgs {
+			dst.inbox = append(dst.inbox, m.data)
+		}
+		if c.tr.On() {
+			for _, m := range msgs {
+				c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
+			}
+		}
+		d.complete()
+		return
+	}
+	for _, m := range msgs {
+		d.total += len(m.data)
+	}
+	n := len(msgs)
+	switch {
+	case dst.host != nil:
+		// One interrupt, then one kernel entry dispatching the group.
+		c.stats.Interrupts++
+		if c.tr.On() {
+			c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
+		}
+		dst.host.Interrupt(dst.name, 600, d.irqFn)
+	case dst.dev != nil:
+		c.stats.Interrupts++
+		if c.tr.On() {
+			c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
+		}
+		dst.dev.Exec(800+200*uint64(n-1), d.invokeFn)
+	default:
+		d.invoke()
+	}
+}
+
+// irq is the host-side interrupt handler: it enters the kernel once to
+// dispatch the whole group.
+func (d *delivery) irq() {
+	c, dst := d.c, d.dst
+	cycles := uint64(2000) + 500*uint64(len(d.msgs)-1)
+	// Zero copy still reads the DMA-ed payload once.
+	dst.task.TouchRange(cache.Kernel, dst.ringBuf, d.total)
+	if !c.cfg.ZeroCopyRead {
+		cycles += dst.host.CopyCycles(d.total)
+	}
+	dst.task.Syscall(cycles, d.invokeFn)
+}
+
+// invoke runs the handler on each message, in order.
+func (d *delivery) invoke() {
+	c, dst := d.c, d.dst
+	for _, m := range d.msgs {
+		dst.handler(m.data)
+	}
+	if c.tr.On() {
+		for _, m := range d.msgs {
+			c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
+		}
+	}
+	d.complete()
+}
+
+// finish settles the group's accounting, recycles the batch and the
+// delivery, and tells the sending transfer.
+func (d *delivery) finish() {
+	c, dst, tx, n := d.c, d.dst, d.tx, uint64(len(d.msgs))
+	if c.tr.On() {
+		c.tr.End(d.span)
+	}
+	dst.inflight--
+	dst.checkDrained()
+	switch {
+	case d.discarded:
+		// The destination closed while the group was on the wire: the
+		// messages were never handed to a handler or inbox, so they are
+		// undelivered, not delivered.
+		c.stats.Undelivered += n
+	case d.heldOff:
+		// Parked at a paused endpoint; Delivered counts at replay.
+	default:
+		c.stats.Delivered += n
+	}
+	// Handlers have returned (or the inbox owns the payloads): the
+	// batch and its envelopes go back to the pool.
+	c.putBatch(d.msgs, d.handed)
+	c.putDelivery(d)
+	if tx != nil {
+		tx.delivered()
+	}
+}
+
+// seqDone completes a sequential dispatch and starts the next one.
+func (d *delivery) seqDone() {
+	c, dst := d.c, d.dst
+	d.finish()
+	dst.dispatchB = false
+	dst.pumpSequential(c)
 }
 
 func (e *Endpoint) pumpSequential(c *Channel) {
 	if e.dispatchB {
 		return
 	}
-	if len(e.seqFns) == 0 {
+	fn, ok := e.seqFns.PopFront()
+	if !ok {
 		e.checkDrained()
 		return
 	}
 	e.dispatchB = true
-	fn := e.seqFns[0]
-	e.seqFns = e.seqFns[1:]
 	fn()
 }
 
@@ -947,7 +1073,7 @@ func (e *Endpoint) pumpSequential(c *Channel) {
 // drained endpoint is fully quiesced. fn runs immediately when nothing is
 // in flight.
 func (e *Endpoint) Drain(fn func()) {
-	if e.inflight == 0 && !e.dispatchB && len(e.seqFns) == 0 {
+	if e.inflight == 0 && !e.dispatchB && e.seqFns.Len() == 0 {
 		fn()
 		return
 	}
@@ -956,7 +1082,7 @@ func (e *Endpoint) Drain(fn func()) {
 
 // checkDrained fires pending Drain callbacks once the endpoint is idle.
 func (e *Endpoint) checkDrained() {
-	if e.inflight > 0 || e.dispatchB || len(e.seqFns) > 0 || len(e.drainFns) == 0 {
+	if e.inflight > 0 || e.dispatchB || e.seqFns.Len() > 0 || len(e.drainFns) == 0 {
 		return
 	}
 	fns := e.drainFns
@@ -969,6 +1095,7 @@ func (e *Endpoint) checkDrained() {
 func (c *Channel) releaseCredit(dir int) {
 	if len(c.pending[dir]) > 0 {
 		next := c.pending[dir][0]
+		c.pending[dir][0] = nil // do not pin the popped closure
 		c.pending[dir] = c.pending[dir][1:]
 		next() // reuse the credit immediately
 		return
@@ -1050,8 +1177,11 @@ func (e *Endpoint) Resume() int {
 			c.tr.Instant(obs.CatChannel, trReplay, int64(len(batch)))
 		}
 		// Credits were released when the group was first held, so the
-		// replayed delivery completes without touching the rings.
-		c.deliver(e, batch, func() {})
+		// replayed delivery (with no sending transfer) completes without
+		// touching the rings.
+		d := c.getDelivery()
+		d.dst, d.msgs = e, batch
+		d.deliver()
 	}
 	return replayed
 }

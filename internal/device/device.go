@@ -23,6 +23,7 @@ import (
 
 	"hydra/internal/bus"
 	"hydra/internal/hostos"
+	"hydra/internal/ring"
 	"hydra/internal/sim"
 )
 
@@ -156,15 +157,20 @@ type Device struct {
 	exports  map[string]uint64
 	busyTime sim.Time
 	busy     bool
-	queue    []*devSegment
+	queue    ring.Deque[devSegment] // firmware work waiting for the embedded CPU
+	cur      devSegment             // segment in service while busy
+	// curEv is the in-service segment's completion event. A completion
+	// whose handle is no longer the active curEv was armed by firmware
+	// that has since died (see doneFn).
+	curEv  sim.Event
+	doneFn func() // pre-bound segment completion, to avoid a closure per Exec
 	// DMAWritesToHost invalidate host cache lines; reads do not.
 	dmaBytesIn  uint64
 	dmaBytesOut uint64
 
 	// Failure model. epoch increments on every health transition away from
-	// HealthOK, so callbacks armed by dead firmware (in-flight Exec segments,
-	// hardware timers) can recognize they no longer belong to the running
-	// instance and fall silent.
+	// HealthOK, so hardware timers armed by dead firmware can recognize
+	// they no longer belong to the running instance and fall silent.
 	health      Health
 	epoch       uint64
 	crashes     uint64
@@ -191,6 +197,7 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, cfg Config) *Device 
 		mem:     make([]byte, cfg.LocalMemBytes),
 		exports: make(map[string]uint64),
 	}
+	d.doneFn = d.segmentDone
 	return d
 }
 
@@ -228,30 +235,42 @@ func (d *Device) Exec(cycles uint64, k func()) {
 		d.droppedWork++
 		return
 	}
-	d.queue = append(d.queue, &devSegment{cycles: cycles, k: k})
+	d.queue.PushBack(devSegment{cycles: cycles, k: k})
 	d.pump()
 }
 
 func (d *Device) pump() {
-	if d.busy || len(d.queue) == 0 {
+	if d.busy {
 		return
 	}
-	s := d.queue[0]
-	d.queue = d.queue[1:]
+	s, ok := d.queue.PopFront()
+	if !ok {
+		return
+	}
+	d.cur = s
 	d.busy = true
-	dur := d.CyclesToTime(s.cycles)
+	dur := d.CyclesToTime(d.cur.cycles)
 	d.busyTime += dur
-	epoch := d.epoch
-	d.eng.Schedule(dur, func() {
-		if d.epoch != epoch {
-			return // the firmware that issued this work died mid-segment
-		}
-		d.busy = false
-		if s.k != nil {
-			s.k()
-		}
-		d.pump()
-	})
+	d.curEv = d.eng.Schedule(dur, d.doneFn)
+}
+
+// segmentDone is the completion event of every segment. A failure leaves
+// the dead firmware's completion pending (canceling it would change the
+// engine's event count), so it may fire later: either while the device is
+// idle, or while a segment queued after Restore is in service — whose own
+// completion is then still pending. Only the in-service segment's own
+// completion finds curEv no longer active.
+func (d *Device) segmentDone() {
+	if !d.busy || d.curEv.Active() {
+		return // the firmware that issued this work died mid-segment
+	}
+	k := d.cur.k
+	d.cur = devSegment{}
+	d.busy = false
+	if k != nil {
+		k()
+	}
+	d.pump()
 }
 
 // --- Failure model (driven by internal/faults) ---
@@ -288,7 +307,8 @@ func (d *Device) Hang() {
 
 func (d *Device) fail() {
 	d.epoch++
-	d.queue = nil
+	d.queue.Reset()
+	d.cur = devSegment{}
 	d.busy = false
 }
 
@@ -465,6 +485,15 @@ func (d *Device) Exports() map[string]uint64 {
 
 // --- DMA ---
 
+// orNop returns done, or a no-op for nil. A DMA always hands the bus a
+// completion, so it always schedules its completion event.
+func orNop(done func()) func() {
+	if done == nil {
+		return func() {}
+	}
+	return done
+}
+
 // DMAToHost writes size bytes from the device into host memory at hostAddr:
 // one bus transaction, then host-side cache invalidation of the target lines.
 func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
@@ -489,11 +518,7 @@ func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 		return
 	}
 	d.dmaBytesOut += uint64(size)
-	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, func() {
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, orNop(done))
 }
 
 // DMAToHostGather writes several logically distinct payloads into host
@@ -532,11 +557,7 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 	}
 	_ = hostAddr
 	d.dmaBytesOut += uint64(total)
-	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, func() {
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, orNop(done))
 }
 
 // DMAToPeerGather moves several payloads directly to another device in one
@@ -556,11 +577,7 @@ func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
 		d.droppedWork++
 		return
 	}
-	d.bsys.Transfer(d.Agent(), peer.Agent(), size, func() {
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.Transfer(d.Agent(), peer.Agent(), size, orNop(done))
 }
 
 // DMAToPeers multicasts size bytes to several devices in one transaction if

@@ -7,6 +7,7 @@ import (
 	"hydra/internal/bus"
 	"hydra/internal/cache"
 	"hydra/internal/hostos"
+	"hydra/internal/race"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
 )
@@ -299,6 +300,59 @@ func TestCrashDropsWorkAndTimers(t *testing.T) {
 	}
 	if d.Crashes() != 1 {
 		t.Fatalf("crashes = %d", d.Crashes())
+	}
+}
+
+// A completion armed by firmware that died must not run the continuation
+// of a segment queued after Restore — even when the stale completion
+// arrives while that segment is still in service.
+func TestStaleCompletionAfterRestoreIgnored(t *testing.T) {
+	eng, _, _, d := rig()
+	var oldRan, newRan int
+	var newAt sim.Time
+	d.Exec(600_000, func() { oldRan++ }) // 0 → 1 ms; its completion stays armed
+	eng.Schedule(200*sim.Microsecond, func() {
+		d.Crash()
+		d.Restore()
+	})
+	// 0.9 → 1.1 ms: in service when the dead segment's 1 ms completion fires.
+	eng.Schedule(900*sim.Microsecond, func() {
+		d.Exec(120_000, func() {
+			newRan++
+			newAt = eng.Now()
+		})
+	})
+	eng.RunAll()
+	if oldRan != 0 {
+		t.Fatalf("dead firmware's continuation ran %d times", oldRan)
+	}
+	if newRan != 1 || newAt != 1100*sim.Microsecond {
+		t.Fatalf("restored segment ran %d times, last at %v; want once at 1.1ms", newRan, newAt)
+	}
+	// The crash, the stale completion (never canceled), the Exec and its
+	// completion.
+	if eng.Fired != 4 {
+		t.Fatalf("engine fired %d events, want 4", eng.Fired)
+	}
+}
+
+// Steady-state Exec with a prebuilt continuation allocates nothing: the
+// segment queue is a value ring and the completion is bound once.
+func TestExecSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	eng, _, _, d := rig()
+	k := func() {}
+	run := func() {
+		for i := 0; i < 4; i++ {
+			d.Exec(1000, k)
+		}
+		eng.RunAll()
+	}
+	run() // grow the queue and the engine's event pool
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("Exec allocates %.1f per round of 4", n)
 	}
 }
 

@@ -126,17 +126,9 @@ func RunX11CellTraced(seed int64, rateHz, workers int, trace *obs.Config) ([]X11
 	period := sim.Time(int64(sim.Second) / int64(rateHz))
 	for i, v := range variants {
 		hs := sys.Hosts()[i]
-		iss := hs.Syscalls[0].Issuer
-		mode := v.mode
-		eng := hs.Eng
-		var tick func(t sim.Time)
-		tick = func(t sim.Time) {
-			_ = iss.Issue(syscall.OpClock, mode, nil, func(*syscall.Completion) {})
-			if next := t + period; next < X11Window {
-				eng.At(next, func() { tick(next) })
-			}
-		}
-		eng.At(0, func() { tick(0) })
+		p := &x11Pacer{iss: hs.Syscalls[0].Issuer, mode: v.mode, eng: hs.Eng, period: period}
+		p.tickFn = p.tick
+		hs.Eng.At(0, p.tickFn)
 	}
 	// Run past the window so the last batches coalesce out and complete.
 	group.Run(X11Window+2*sim.Millisecond, workers)
@@ -175,6 +167,25 @@ func RunX11CellTraced(seed int64, rateHz, workers int, trace *obs.Config) ([]X11
 		rows = append(rows, row)
 	}
 	return rows, sys.Tracer, nil
+}
+
+// x11Pacer issues one host-clock syscall per tick at fixed absolute
+// times t = 0, period, 2·period, … below X11Window. Its tick callback is
+// bound once, so pacing allocates nothing per tick.
+type x11Pacer struct {
+	iss    *syscall.Issuer
+	mode   syscall.Mode
+	eng    *sim.Engine
+	period sim.Time
+	next   sim.Time // the running tick's time
+	tickFn func()
+}
+
+func (p *x11Pacer) tick() {
+	_ = p.iss.Issue(syscall.OpClock, p.mode, nil, func(*syscall.Completion) {})
+	if p.next += p.period; p.next < X11Window {
+		p.eng.At(p.next, p.tickFn)
+	}
 }
 
 // --- the mid-run hot-swap leg ---

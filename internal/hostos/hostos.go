@@ -25,6 +25,7 @@ import (
 
 	"hydra/internal/cache"
 	"hydra/internal/obs"
+	"hydra/internal/ring"
 	"hydra/internal/sim"
 )
 
@@ -75,7 +76,7 @@ type Machine struct {
 	rng *rand.Rand
 	l2  *cache.Cache
 
-	runq     segQueue // ready work, FIFO within priority
+	runq     ring.Deque[*segment] // ready work, FIFO within priority
 	running  bool
 	lastTask *Task
 	cur      *segment   // segment the CPU is executing (nil when idle)
@@ -363,12 +364,12 @@ func (m *Machine) Interrupt(name string, cycles uint64, k func()) {
 }
 
 func (m *Machine) enqueue(s *segment) {
-	m.runq.pushBack(s)
+	m.runq.PushBack(s)
 	m.dispatch()
 }
 
 func (m *Machine) enqueueFront(s *segment) {
-	m.runq.pushFront(s)
+	m.runq.PushFront(s)
 	m.dispatch()
 }
 
@@ -377,8 +378,8 @@ func (m *Machine) dispatch() {
 	if m.running {
 		return
 	}
-	s := m.runq.popFront()
-	if s == nil {
+	s, ok := m.runq.PopFront()
+	if !ok {
 		return
 	}
 	m.running = true
@@ -415,55 +416,6 @@ func (m *Machine) dispatch() {
 	m.eng.Schedule(dur, m.doneFn)
 }
 
-// segQueue is a growable ring deque of segments: O(1) pushBack,
-// pushFront and popFront with no per-operation allocation, unlike the
-// old `append([]*segment{s}, runq...)` interrupt path which copied the
-// whole queue per ISR.
-type segQueue struct {
-	buf        []*segment // power-of-two length
-	head, tail int        // monotonically increasing; index = i & (len(buf)-1)
-}
-
-func (q *segQueue) len() int { return q.tail - q.head }
-
-func (q *segQueue) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	nb := make([]*segment, n)
-	for i := q.head; i < q.tail; i++ {
-		nb[i&(n-1)] = q.buf[i&(len(q.buf)-1)]
-	}
-	q.buf = nb
-}
-
-func (q *segQueue) pushBack(s *segment) {
-	if q.len() == len(q.buf) {
-		q.grow()
-	}
-	q.buf[q.tail&(len(q.buf)-1)] = s
-	q.tail++
-}
-
-func (q *segQueue) pushFront(s *segment) {
-	if q.len() == len(q.buf) {
-		q.grow()
-	}
-	q.head--
-	q.buf[q.head&(len(q.buf)-1)] = s
-}
-
-func (q *segQueue) popFront() *segment {
-	if q.len() == 0 {
-		return nil
-	}
-	s := q.buf[q.head&(len(q.buf)-1)]
-	q.buf[q.head&(len(q.buf)-1)] = nil
-	q.head++
-	return s
-}
-
 // Publish writes the machine's accounting into the registry under
 // prefix: .busy_ns, .kernel_busy_ns, .utilization, .interrupts,
 // .context_switches, .alloc_bytes, .live_bytes, .runq_depth.
@@ -475,7 +427,7 @@ func (m *Machine) Publish(r *obs.Registry, prefix string) {
 	r.Gauge(prefix + ".context_switches").Set(float64(m.switches))
 	r.Gauge(prefix + ".alloc_bytes").Set(float64(m.allocBytes))
 	r.Gauge(prefix + ".live_bytes").Set(float64(m.LiveBytes()))
-	r.Gauge(prefix + ".runq_depth").Set(float64(m.runq.len()))
+	r.Gauge(prefix + ".runq_depth").Set(float64(m.runq.Len()))
 }
 
 // Utilization reports busy/elapsed over the whole run.

@@ -1,6 +1,10 @@
 package hostos
 
-import "fmt"
+import (
+	"fmt"
+
+	"hydra/internal/ring"
+)
 
 // WorkerPool is a fixed set of kernel worker tasks — the model of a host
 // dispatcher goroutine pool. Submitted items run FIFO with at most
@@ -12,11 +16,19 @@ import "fmt"
 // layer needs.
 type WorkerPool struct {
 	m     *Machine
-	idle  []*Task
-	queue []func(*Task, func())
+	idle  []*poolWorker
+	queue ring.Deque[func(*Task, func())]
 
 	submitted uint64
 	maxQueue  int
+}
+
+// poolWorker is one worker task with its completion callback bound once,
+// so handing it an item — or the next queued item — allocates nothing.
+type poolWorker struct {
+	p    *WorkerPool
+	t    *Task
+	done func()
 }
 
 // NewWorkerPool builds a pool of `workers` kernel tasks named
@@ -27,7 +39,9 @@ func NewWorkerPool(m *Machine, name string, workers int) *WorkerPool {
 	}
 	p := &WorkerPool{m: m}
 	for i := workers - 1; i >= 0; i-- {
-		p.idle = append(p.idle, m.NewTask(fmt.Sprintf("%s/%d", name, i)))
+		w := &poolWorker{p: p, t: m.NewTask(fmt.Sprintf("%s/%d", name, i))}
+		w.done = w.finish
+		p.idle = append(p.idle, w)
 	}
 	return p
 }
@@ -35,38 +49,35 @@ func NewWorkerPool(m *Machine, name string, workers int) *WorkerPool {
 // Submit queues fn for execution on the next free worker. fn runs with a
 // worker Task for charging kernel cycles and MUST call done() exactly once
 // when its (possibly asynchronous) work completes; the worker is held
-// until then.
+// until then. The done callback is the worker's own and is reused for
+// every item it runs.
 func (p *WorkerPool) Submit(fn func(t *Task, done func())) {
 	p.submitted++
 	if n := len(p.idle); n > 0 {
-		t := p.idle[n-1]
+		w := p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		p.run(t, fn)
+		fn(w.t, w.done)
 		return
 	}
-	p.queue = append(p.queue, fn)
-	if len(p.queue) > p.maxQueue {
-		p.maxQueue = len(p.queue)
-	}
+	p.queue.PushBack(fn)
+	p.maxQueue = max(p.maxQueue, p.queue.Len())
 }
 
-func (p *WorkerPool) run(t *Task, fn func(*Task, func())) {
-	fn(t, func() {
-		if len(p.queue) > 0 {
-			next := p.queue[0]
-			p.queue = p.queue[1:]
-			p.run(t, next)
-			return
-		}
-		p.idle = append(p.idle, t)
-	})
+// finish hands the worker the next queued item, or returns it to idle.
+func (w *poolWorker) finish() {
+	p := w.p
+	if fn, ok := p.queue.PopFront(); ok {
+		fn(w.t, w.done)
+		return
+	}
+	p.idle = append(p.idle, w)
 }
 
 // Submitted reports lifetime items accepted by Submit.
 func (p *WorkerPool) Submitted() uint64 { return p.submitted }
 
 // QueueDepth reports items waiting for a worker right now.
-func (p *WorkerPool) QueueDepth() int { return len(p.queue) }
+func (p *WorkerPool) QueueDepth() int { return p.queue.Len() }
 
 // MaxQueueDepth reports the high-water mark of the wait queue.
 func (p *WorkerPool) MaxQueueDepth() int { return p.maxQueue }

@@ -103,44 +103,3 @@ func TestVFSMapUnmapBalancesLedger(t *testing.T) {
 		t.Fatalf("double unmap = %v, want *FreeError", err)
 	}
 }
-
-// The pool bounds concurrency: with 2 workers and 3 items, the third
-// waits until a done() frees a worker, and everything runs FIFO.
-func TestWorkerPoolBoundsConcurrency(t *testing.T) {
-	eng, m := testMachine()
-	p := NewWorkerPool(m, "sysd", 2)
-	var order []int
-	inFlight, maxFlight := 0, 0
-	for i := 0; i < 5; i++ {
-		i := i
-		p.Submit(func(task *Task, done func()) {
-			inFlight++
-			if inFlight > maxFlight {
-				maxFlight = inFlight
-			}
-			task.Syscall(2400, func() {
-				order = append(order, i)
-				inFlight--
-				done()
-			})
-		})
-	}
-	eng.RunAll()
-	if maxFlight != 2 {
-		t.Fatalf("max in-flight = %d, want 2", maxFlight)
-	}
-	if len(order) != 5 {
-		t.Fatalf("completed %d items, want 5", len(order))
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("completion order %v, want FIFO", order)
-		}
-	}
-	if p.Submitted() != 5 || p.QueueDepth() != 0 || p.IdleWorkers() != 2 {
-		t.Fatalf("pool accounting: submitted=%d queue=%d idle=%d", p.Submitted(), p.QueueDepth(), p.IdleWorkers())
-	}
-	if p.MaxQueueDepth() != 3 {
-		t.Fatalf("MaxQueueDepth = %d, want 3", p.MaxQueueDepth())
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"hydra/internal/device"
 	"hydra/internal/obs"
 	"hydra/internal/resource"
+	"hydra/internal/ring"
 	"hydra/internal/sim"
 )
 
@@ -54,12 +55,23 @@ type Issuer struct {
 	tr   *obs.Shard
 
 	nextSeq  uint64
-	pending  map[uint64]*pendingCall
+	pending  map[uint64]pendingCall
 	inFlight int
 	sealed   bool
 	defaultK func(*Completion)
 	stats    Stats
 	lats     []sim.Time // completion latencies, issue→done
+
+	rep  call.Reply // decode target for onCompletion, reused per completion
+	comp Completion // the Completion lent to continuations, reused per completion
+
+	// outbox holds requests posted to the firmware but not yet written to
+	// the channel, in Exec order; sendFn, bound once, writes the head when
+	// its issue segment completes. A device failure drops the queued
+	// segments, so each entry carries the failure generation it was
+	// posted under and send skips entries from dead firmware.
+	outbox ring.Deque[outEntry]
+	sendFn func()
 }
 
 // NewIssuer builds an issuer for the device. res, when non-nil, is
@@ -67,15 +79,17 @@ type Issuer struct {
 // quota; a nil res falls back to the profile's Credits counter.
 func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 	eng := dev.Engine()
-	return &Issuer{
+	i := &Issuer{
 		dev:     dev,
 		eng:     eng,
 		res:     res,
 		prof:    prof.withDefaults(),
 		tr:      obs.ForCat(eng, obs.CatSyscall),
 		nextSeq: 1,
-		pending: make(map[uint64]*pendingCall),
+		pending: make(map[uint64]pendingCall),
 	}
+	i.sendFn = i.send
+	return i
 }
 
 // Attach connects the issuer to its device-side channel endpoint and
@@ -94,8 +108,7 @@ func (i *Issuer) Attach(end *channel.Endpoint) {
 		if i.tr.On() {
 			i.tr.Instant(obs.CatSyscall, trReissue, int64(idSeq(id)))
 		}
-		wire := p.wire
-		i.dev.Exec(issueCycles, func() { _ = i.end.Write(wire) })
+		i.post(p.wire, false)
 	}
 }
 
@@ -162,21 +175,59 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 	}
 	if mode == ModeFireForget {
 		i.stats.FireForget++
-		i.dev.Exec(issueCycles, func() {
-			_ = i.end.Write(wire)
-			i.releaseCredit()
-		})
+		i.post(wire, true)
 		return nil
 	}
-	i.pending[id] = &pendingCall{op: op, mode: mode, issued: i.eng.Now(), k: k, wire: wire}
-	i.dev.Exec(issueCycles, func() { _ = i.end.Write(wire) })
+	i.pending[id] = pendingCall{op: op, mode: mode, issued: i.eng.Now(), k: k, wire: wire}
+	i.post(wire, false)
 	return nil
+}
+
+// outEntry is one request waiting in the outbox for its issue segment.
+type outEntry struct {
+	wire []byte
+	gen  uint64
+	ff   bool // fire-and-forget: the credit is released once written
+}
+
+// devGen counts the device's failures; it changes exactly when queued
+// firmware work is dropped.
+func (i *Issuer) devGen() uint64 { return i.dev.Crashes() + i.dev.Hangs() }
+
+// post charges the firmware issue cost and then writes wire to the
+// channel. Work posted to an unhealthy device is dropped by Exec, so it
+// gets no outbox entry.
+func (i *Issuer) post(wire []byte, ff bool) {
+	if i.dev.Healthy() {
+		i.outbox.PushBack(outEntry{wire: wire, gen: i.devGen(), ff: ff})
+	}
+	i.dev.Exec(issueCycles, i.sendFn)
+}
+
+// send is every issue segment's continuation: it writes the oldest
+// request still owned by live firmware.
+func (i *Issuer) send() {
+	gen := i.devGen()
+	for {
+		e, ok := i.outbox.PopFront()
+		if !ok {
+			return
+		}
+		if e.gen != gen {
+			continue // posted by firmware that died before its segment ran
+		}
+		_ = i.end.Write(e.wire)
+		if e.ff {
+			i.releaseCredit()
+		}
+		return
+	}
 }
 
 // onCompletion handles a reply payload arriving on the device endpoint.
 func (i *Issuer) onCompletion(data []byte) {
-	rep, err := call.UnmarshalReply(data)
-	if err != nil {
+	rep := &i.rep
+	if err := call.DecodeReply(data, rep); err != nil {
 		return // not a completion (e.g. unrelated traffic on a shared channel)
 	}
 	id := rep.ReturnDesc
@@ -192,7 +243,8 @@ func (i *Issuer) onCompletion(data []byte) {
 	delete(i.pending, id)
 	i.releaseCredit()
 	now := i.eng.Now()
-	c := &Completion{ID: id, Op: p.op, Results: rep.Results, Err: rep.Err, Issued: p.issued, Done: now}
+	c := &i.comp
+	*c = Completion{ID: id, Op: p.op, Results: rep.Results, Err: rep.Err, Issued: p.issued, Done: now}
 	i.stats.Completed++
 	if rep.Err != "" {
 		i.stats.Errors++
@@ -274,7 +326,7 @@ func (i *Issuer) Restore(b []byte) error {
 		if err := i.chargeCredit(); err != nil {
 			return fmt.Errorf("syscall: restore over credit limit: %w", err)
 		}
-		i.pending[id] = &pendingCall{op: op, mode: idMode(id), issued: issued, wire: wire, restored: true}
+		i.pending[id] = pendingCall{op: op, mode: idMode(id), issued: issued, wire: wire, restored: true}
 	}
 	return nil
 }

@@ -45,9 +45,73 @@ type Service struct {
 	tr   *obs.Shard
 
 	replyCache map[uint64][]byte
-	cacheOrder []uint64        // FIFO eviction ring over replyCache keys
-	executing  map[uint64]bool // ids submitted to the pool, not yet finished
+	cacheOrder [replyCacheSize]uint64 // FIFO eviction ring over replyCache keys
+	cacheNext  int                    // next cacheOrder slot to fill (and evict)
+	executing  map[uint64]bool        // ids submitted to the pool, not yet finished
 	stats      Stats
+
+	req     call.Call  // decode target for onRequest, reused per request
+	reqFree []*request // recycled requests; dispatch runs alloc-free once warm
+	result1 [1]any     // backing for one-value result vectors (see one)
+}
+
+// request is one dispatched syscall on its way through the worker pool.
+// Its continuations are bound once when it is minted, and it returns to
+// the service's free list when it finishes, so a steady stream of
+// requests allocates no closures.
+type request struct {
+	s     *Service
+	id    uint64
+	op    Op
+	args  []any // the request's own copy of the decoded arguments
+	start sim.Time
+	done  func() // the pool worker's completion, held while the request runs
+
+	runFn    func(*hostos.Task, func())
+	execFn   func()
+	resultFn func([]any, error)
+}
+
+func (s *Service) newRequest() *request {
+	if n := len(s.reqFree); n > 0 {
+		r := s.reqFree[n-1]
+		s.reqFree = s.reqFree[:n-1]
+		return r
+	}
+	r := &request{s: s}
+	r.runFn, r.execFn, r.resultFn = r.run, r.exec, r.result
+	return r
+}
+
+// run starts the request on a pool worker: the dispatcher's kernel entry.
+func (r *request) run(t *hostos.Task, done func()) {
+	r.done = done
+	r.start = r.s.eng.Now()
+	t.Syscall(r.s.cycles(r.op, r.args), r.execFn)
+}
+
+func (r *request) exec() { r.s.execute(r.op, r.args, r.resultFn) }
+
+// result completes the request: it caches and sends the reply, recycles
+// the request, and only then frees the worker, which may start the next
+// queued request at once.
+func (r *request) result(results []any, err error) {
+	s := r.s
+	rep := call.Reply{ReturnDesc: r.id, Results: results}
+	if err != nil {
+		rep.Err = err.Error()
+	}
+	s.stats.Executed++
+	if s.tr.On() {
+		s.tr.Complete(obs.CatSyscall, trExec+idMode(r.id).String(), r.start, s.eng.Now()-r.start, int64(idSeq(r.id)))
+	}
+	s.finish(r.id, &rep)
+	s.result1[0] = nil // marshaled: do not pin the value
+	done := r.done
+	clear(r.args)
+	r.args, r.done = r.args[:0], nil
+	s.reqFree = append(s.reqFree, r)
+	done()
 }
 
 // NewService builds a dispatcher over the VFS's machine with the
@@ -83,8 +147,8 @@ func (s *Service) Pool() *hostos.WorkerPool { return s.pool }
 func (s *Service) Stats() Stats { return s.stats }
 
 func (s *Service) onRequest(data []byte) {
-	c, err := call.Unmarshal(data)
-	if err != nil || c.Iface != IfaceGUID {
+	c := &s.req
+	if err := call.DecodeCall(data, c); err != nil || c.Iface != IfaceGUID {
 		return // not a syscall request; ignore unrelated traffic
 	}
 	op, ok := OpByName(c.Method)
@@ -120,24 +184,10 @@ func (s *Service) onRequest(data []byte) {
 		return
 	}
 	s.executing[id] = true
-	args := c.Args
-	s.pool.Submit(func(t *hostos.Task, done func()) {
-		start := s.eng.Now()
-		t.Syscall(s.cycles(op, args), func() {
-			s.execute(op, args, func(results []any, err error) {
-				rep := &call.Reply{ReturnDesc: id, Results: results}
-				if err != nil {
-					rep.Err = err.Error()
-				}
-				s.stats.Executed++
-				if s.tr.On() {
-					s.tr.Complete(obs.CatSyscall, trExec+idMode(id).String(), start, s.eng.Now()-start, int64(idSeq(id)))
-				}
-				s.finish(id, rep)
-				done()
-			})
-		})
-	})
+	r := s.newRequest()
+	r.id, r.op = id, op
+	r.args = append(r.args, c.Args...)
+	s.pool.Submit(r.runFn)
 }
 
 // cycles is the kernel cost of servicing op: base plus the copy cost of
@@ -175,12 +225,12 @@ func (s *Service) finish(id uint64, rep *call.Reply) {
 	if err != nil {
 		wire, _ = call.MarshalReply(&call.Reply{ReturnDesc: id, Err: "syscall: unmarshalable results"})
 	}
-	if len(s.cacheOrder) >= replyCacheSize {
-		delete(s.replyCache, s.cacheOrder[0])
-		s.cacheOrder = s.cacheOrder[1:]
+	if len(s.replyCache) >= replyCacheSize {
+		delete(s.replyCache, s.cacheOrder[s.cacheNext])
 	}
 	s.replyCache[id] = wire
-	s.cacheOrder = append(s.cacheOrder, id)
+	s.cacheOrder[s.cacheNext] = id
+	s.cacheNext = (s.cacheNext + 1) % replyCacheSize
 	if idMode(id) != ModeFireForget {
 		s.stats.RepliesSent++
 		_ = s.end.Write(wire)
@@ -222,7 +272,7 @@ func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
 				k(nil, err)
 				return
 			}
-			k([]any{int64(fd)}, nil)
+			k(s.one(int64(fd)), nil)
 		})
 	case OpRead:
 		fd, off, count, ok := threeInts(args)
@@ -235,7 +285,7 @@ func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
 				k(nil, err)
 				return
 			}
-			k([]any{data}, nil)
+			k(s.one(data), nil)
 		})
 	case OpWrite:
 		if len(args) != 3 {
@@ -254,7 +304,7 @@ func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
 				k(nil, err)
 				return
 			}
-			k([]any{int64(n)}, nil)
+			k(s.one(int64(n)), nil)
 		})
 	case OpClose:
 		if len(args) != 1 {
@@ -294,7 +344,7 @@ func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
 			k(nil, badArgs(op))
 			return
 		}
-		k([]any{s.vfs.Map(int(size))}, nil)
+		k(s.one(s.vfs.Map(int(size))), nil)
 	case OpUnmap:
 		if len(args) != 1 {
 			k(nil, badArgs(op))
@@ -322,10 +372,18 @@ func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
 		s.vfs.Log()
 		k(nil, nil)
 	case OpClock:
-		k([]any{int64(s.eng.Now())}, nil)
+		k(s.one(int64(s.eng.Now())), nil)
 	default:
 		k(nil, fmt.Errorf("syscall: op %d not implemented", op))
 	}
+}
+
+// one returns the one-value result vector [v] in service-owned storage.
+// Every execute continuation marshals its results before returning, so
+// the vector is free again by the time the next call needs it.
+func (s *Service) one(v any) []any {
+	s.result1[0] = v
+	return s.result1[:]
 }
 
 func threeInts(args []any) (a, b, c int64, ok bool) {

@@ -246,7 +246,12 @@ const (
 	trCallSpan = "syscall.call." // + op
 )
 
-// Completion is what a syscall continuation receives.
+// Completion is what a syscall continuation receives. It is borrowed:
+// the issuer reuses the Completion and its Results vector for the next
+// completion, so both are valid only while the continuation runs. A
+// continuation that needs a value later copies it out — the values
+// inside Results (strings, byte slices, numbers) are the continuation's
+// to keep. Channel handler payloads follow the same contract.
 type Completion struct {
 	ID      uint64
 	Op      Op

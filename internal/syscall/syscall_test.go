@@ -24,7 +24,7 @@ type rig struct {
 	dend *channel.Endpoint
 }
 
-func newRig(t *testing.T, prof Profile, res *resource.Node) *rig {
+func newRig(t testing.TB, prof Profile, res *resource.Node) *rig {
 	t.Helper()
 	eng := sim.NewEngine(42)
 	host := hostos.New(eng, "host", hostos.PentiumIV())
@@ -153,6 +153,35 @@ func TestFireForgetSkipsCompletion(t *testing.T) {
 	}
 	if r.iss.InFlight() != 0 {
 		t.Fatalf("in-flight = %d", r.iss.InFlight())
+	}
+}
+
+// A request posted to firmware that then fails is lost with its issue
+// segment; a request posted after Restore goes out as itself, never as
+// the dead firmware's leftover.
+func TestIssueAcrossDeviceRestore(t *testing.T) {
+	r := newRig(t, DefaultProfile(), nil)
+	lost, opened := 0, 0
+	if err := r.iss.Clock(ModeAsync, func(sim.Time, error) { lost++ }); err != nil {
+		t.Fatal(err)
+	}
+	r.disk.Crash() // drops the clock call's issue segment
+	r.disk.Restore()
+	err := r.iss.Open("/after-restore", true, ModeAsync, func(fd int64, err error) {
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		opened++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	if lost != 0 || opened != 1 {
+		t.Fatalf("lost clock completed %d times, open %d times; want 0 and 1", lost, opened)
+	}
+	if hs := r.svc.Stats(); hs.Executed != 1 {
+		t.Fatalf("host executed %d calls, want 1", hs.Executed)
 	}
 }
 
