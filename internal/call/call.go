@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hydra/internal/guid"
 	"hydra/internal/odf"
@@ -52,8 +53,8 @@ const (
 )
 
 // valueSize is the wire size of one tagged value, or the error Marshal
-// reports for it. Marshal sizes its buffer with it, so appendValue never
-// grows the slice and never fails.
+// reports for it. The encoders size their buffer with it, so appendValue
+// never grows the slice and never fails.
 func valueSize(v any) (int, error) {
 	switch x := v.(type) {
 	case bool:
@@ -181,17 +182,40 @@ func readBlob(b []byte) ([]byte, []byte, error) {
 // truncation (a truncated length would desynchronize the decoder into
 // reading method bytes as argument tags).
 func Marshal(c *Call) ([]byte, error) {
+	n, err := callSize(c)
+	if err != nil {
+		return nil, err
+	}
+	return appendCall(make([]byte, 0, n), c), nil
+}
+
+// AppendCall appends c's wire form (the bytes Marshal returns) to b,
+// growing b at most once. On error b is returned unchanged.
+func AppendCall(b []byte, c *Call) ([]byte, error) {
+	n, err := callSize(c)
+	if err != nil {
+		return b, err
+	}
+	return appendCall(slices.Grow(b, n), c), nil
+}
+
+// callSize is the wire size of c, or the error Marshal reports for it.
+func callSize(c *Call) (int, error) {
 	if len(c.Method) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: method name of %d bytes", ErrTooLarge, len(c.Method))
+		return 0, fmt.Errorf("%w: method name of %d bytes", ErrTooLarge, len(c.Method))
 	}
 	if len(c.Args) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d arguments", ErrTooLarge, len(c.Args))
+		return 0, fmt.Errorf("%w: %d arguments", ErrTooLarge, len(c.Args))
 	}
 	n, err := valuesSize(c.Args)
 	if err != nil {
-		return nil, fmt.Errorf("call %s: %w", c.Method, err)
+		return 0, fmt.Errorf("call %s: %w", c.Method, err)
 	}
-	b := make([]byte, 0, 1+8+8+2+len(c.Method)+2+n)
+	return 1 + 8 + 8 + 2 + len(c.Method) + 2 + n, nil
+}
+
+// appendCall appends the wire form of a Call callSize has accepted.
+func appendCall(b []byte, c *Call) []byte {
 	b = append(b, 'C')
 	b = binary.LittleEndian.AppendUint64(b, uint64(c.Iface))
 	b = binary.LittleEndian.AppendUint64(b, c.ReturnDesc)
@@ -201,7 +225,7 @@ func Marshal(c *Call) ([]byte, error) {
 	for _, a := range c.Args {
 		b = appendValue(b, a)
 	}
-	return b, nil
+	return b
 }
 
 // Unmarshal parses a serialized Call into a fresh Call.
@@ -270,17 +294,40 @@ func readValues(b []byte, count int, dst []any) ([]any, error) {
 // As with Marshal, overflowing a u16 length field is ErrTooLarge rather
 // than silent truncation.
 func MarshalReply(r *Reply) ([]byte, error) {
-	if len(r.Err) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: error string of %d bytes", ErrTooLarge, len(r.Err))
-	}
-	if len(r.Results) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d results", ErrTooLarge, len(r.Results))
-	}
-	n, err := valuesSize(r.Results)
+	n, err := replySize(r)
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+8+2+len(r.Err)+2+n)
+	return appendReply(make([]byte, 0, n), r), nil
+}
+
+// AppendReply appends r's wire form (the bytes MarshalReply returns) to
+// b, growing b at most once. On error b is returned unchanged.
+func AppendReply(b []byte, r *Reply) ([]byte, error) {
+	n, err := replySize(r)
+	if err != nil {
+		return b, err
+	}
+	return appendReply(slices.Grow(b, n), r), nil
+}
+
+// replySize is the wire size of r, or the error MarshalReply reports.
+func replySize(r *Reply) (int, error) {
+	if len(r.Err) > math.MaxUint16 {
+		return 0, fmt.Errorf("%w: error string of %d bytes", ErrTooLarge, len(r.Err))
+	}
+	if len(r.Results) > math.MaxUint16 {
+		return 0, fmt.Errorf("%w: %d results", ErrTooLarge, len(r.Results))
+	}
+	n, err := valuesSize(r.Results)
+	if err != nil {
+		return 0, err
+	}
+	return 1 + 8 + 2 + len(r.Err) + 2 + n, nil
+}
+
+// appendReply appends the wire form of a Reply replySize has accepted.
+func appendReply(b []byte, r *Reply) []byte {
 	b = append(b, 'R')
 	b = binary.LittleEndian.AppendUint64(b, r.ReturnDesc)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Err)))
@@ -289,7 +336,7 @@ func MarshalReply(r *Reply) ([]byte, error) {
 	for _, v := range r.Results {
 		b = appendValue(b, v)
 	}
-	return b, nil
+	return b
 }
 
 // UnmarshalReply parses a serialized Reply into a fresh Reply.

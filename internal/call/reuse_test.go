@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hydra/internal/guid"
+	"hydra/internal/race"
 )
 
 // The wire format is frozen: these encodings were produced by the
@@ -42,6 +43,70 @@ func TestMarshalWireFrozen(t *testing.T) {
 		if len(wire) != cap(wire) {
 			t.Errorf("%s: len %d != cap %d (buffer not sized exactly)", c.name, len(wire), cap(wire))
 		}
+	}
+}
+
+// AppendCall and AppendReply emit exactly the bytes Marshal and
+// MarshalReply return after whatever b already holds, grow b at most
+// once, write in place when b has room, and leave b unchanged on error.
+func TestAppendMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	prefix := []byte("head")
+	var callBuf, replyBuf []byte
+	for step := 0; step < 300; step++ {
+		c := &Call{Iface: guid.GUID(1 + rng.Uint64()>>1), Method: "write",
+			ReturnDesc: rng.Uint64(), Args: randValues(rng, rng.Intn(8))}
+		r := &Reply{ReturnDesc: rng.Uint64(), Results: randValues(rng, rng.Intn(8))}
+		if step%3 == 0 {
+			r.Err = "eio"
+		}
+		want, err := Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendCall(append([]byte(nil), prefix...), c)
+		if err != nil || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
+			t.Fatalf("step %d: AppendCall after a prefix = %x, %v; want prefix + %x", step, got, err, want)
+		}
+		wantR, err := MarshalReply(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reused buffers: once large enough, the encode is in place.
+		for _, tc := range []struct {
+			buf  *[]byte
+			enc  func([]byte) ([]byte, error)
+			want []byte
+		}{
+			{&callBuf, func(b []byte) ([]byte, error) { return AppendCall(b, c) }, want},
+			{&replyBuf, func(b []byte) ([]byte, error) { return AppendReply(b, r) }, wantR},
+		} {
+			old := *tc.buf
+			out, err := tc.enc(old[:0])
+			if err != nil || !bytes.Equal(out, tc.want) {
+				t.Fatalf("step %d: append into reused buffer = %x, %v; want %x", step, out, err, tc.want)
+			}
+			if cap(old) >= len(tc.want) && &out[0] != &old[:1][0] {
+				t.Fatalf("step %d: append reallocated a buffer with room", step)
+			}
+			*tc.buf = out
+		}
+	}
+	bad := &Call{Iface: 1, Method: "m", Args: []any{struct{}{}}}
+	if out, err := AppendCall(prefix, bad); err == nil || !bytes.Equal(out, prefix) || len(out) != len(prefix) {
+		t.Fatalf("AppendCall of an unsupported arg = %q, %v; want the prefix back and an error", out, err)
+	}
+	if out, err := AppendReply(prefix, &Reply{Results: []any{struct{}{}}}); err == nil || !bytes.Equal(out, prefix) {
+		t.Fatalf("AppendReply of an unsupported result = %q, %v; want the prefix back and an error", out, err)
+	}
+	if race.Enabled {
+		return // allocation counts differ under -race
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		callBuf, _ = AppendCall(callBuf[:0], &Call{Iface: 1, Method: "clock", ReturnDesc: 9})
+		replyBuf, _ = AppendReply(replyBuf[:0], &Reply{ReturnDesc: 9, Err: "x"})
+	}); got != 0 {
+		t.Fatalf("warm appends allocate %.1f times", got)
 	}
 }
 

@@ -13,8 +13,10 @@
 //   - "Reduced power consumption" (§1.1 #3): devices carry idle/busy power
 //     ratings (the paper contrasts a 68 W Pentium 4 with a 0.5 W XScale).
 //
-// Device memory is a real byte slice: the HYDRA loader writes linked Offcode
-// images into it, and tests verify relocation bytes end to end.
+// Device memory holds real bytes: the HYDRA loader writes linked Offcode
+// images into it, and tests verify relocation bytes end to end. It is
+// backed by pages allocated on first write, so a device costs host memory
+// only for what its firmware actually stores.
 package device
 
 import (
@@ -150,7 +152,7 @@ type Device struct {
 	bsys *bus.Bus
 	rng  *rand.Rand
 
-	mem      []byte
+	mem      memPages
 	memUsed  int
 	memFreed int
 	memGen   uint64
@@ -194,7 +196,7 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, cfg Config) *Device 
 		host:    host,
 		bsys:    b,
 		rng:     eng.NewRand(int64(cfg.Class.ID)*977 + int64(len(cfg.Name))),
-		mem:     make([]byte, cfg.LocalMemBytes),
+		mem:     newMemPages(cfg.LocalMemBytes),
 		exports: make(map[string]uint64),
 	}
 	d.doneFn = d.segmentDone
@@ -321,9 +323,7 @@ func (d *Device) Restore() {
 		return
 	}
 	if d.health == HealthCrashed {
-		for i := range d.mem {
-			d.mem[i] = 0
-		}
+		d.mem.clear()
 		d.memUsed = 0
 		d.memFreed = 0
 		d.memGen++
@@ -412,9 +412,9 @@ func (d *Device) AllocMem(size int) (uint64, error) {
 	}
 	const align = 16
 	base := (d.memUsed + align - 1) &^ (align - 1)
-	if base+size > len(d.mem) {
+	if base+size > d.mem.size {
 		return 0, fmt.Errorf("device %s: out of local memory (%d used, %d requested, %d total)",
-			d.cfg.Name, d.memUsed, size, len(d.mem))
+			d.cfg.Name, d.memUsed, size, d.mem.size)
 	}
 	d.memUsed = base + size
 	return uint64(base), nil
@@ -453,20 +453,21 @@ func (d *Device) MemLive() int { return d.memUsed - d.memFreed }
 
 // WriteMem copies data into device memory at addr.
 func (d *Device) WriteMem(addr uint64, data []byte) error {
-	if int(addr)+len(data) > len(d.mem) {
-		return fmt.Errorf("device %s: write beyond local memory", d.cfg.Name)
+	if !d.mem.inBounds(addr, len(data)) {
+		return fmt.Errorf("device %s: write of %d bytes at %#x beyond local memory", d.cfg.Name, len(data), addr)
 	}
-	copy(d.mem[addr:], data)
+	d.mem.write(int(addr), data)
 	return nil
 }
 
-// ReadMem returns a copy of size bytes at addr.
+// ReadMem returns a copy of size bytes at addr. Bytes never written read
+// as zero.
 func (d *Device) ReadMem(addr uint64, size int) ([]byte, error) {
-	if int(addr)+size > len(d.mem) {
-		return nil, fmt.Errorf("device %s: read beyond local memory", d.cfg.Name)
+	if size < 0 || !d.mem.inBounds(addr, size) {
+		return nil, fmt.Errorf("device %s: read of %d bytes at %#x beyond local memory", d.cfg.Name, size, addr)
 	}
 	out := make([]byte, size)
-	copy(out, d.mem[addr:])
+	d.mem.read(int(addr), out)
 	return out, nil
 }
 

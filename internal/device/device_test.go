@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -165,6 +166,96 @@ func TestMemBoundsChecks(t *testing.T) {
 	}
 	if _, err := d.ReadMem(end-2, 3); err == nil {
 		t.Fatal("out-of-bounds read succeeded")
+	}
+}
+
+// Bounds checks hold for addresses and sizes whose sum overflows, and a
+// negative read size is an error, not a panic.
+func TestMemBoundsOverflow(t *testing.T) {
+	_, _, _, d := rig()
+	size := uint64(d.Config().LocalMemBytes)
+	for _, addr := range []uint64{1 << 63, math.MaxUint64, math.MaxUint64 - 1, size, size + 1} {
+		if err := d.WriteMem(addr, []byte{1}); err == nil {
+			t.Errorf("WriteMem(%#x, 1 byte) succeeded", addr)
+		}
+		if _, err := d.ReadMem(addr, 1); err == nil {
+			t.Errorf("ReadMem(%#x, 1) succeeded", addr)
+		}
+	}
+	for _, n := range []int{-1, math.MinInt} {
+		if _, err := d.ReadMem(0, n); err == nil {
+			t.Errorf("ReadMem(0, %d) succeeded", n)
+		}
+	}
+	if _, err := d.ReadMem(16, math.MaxInt); err == nil {
+		t.Error("ReadMem(16, MaxInt) succeeded")
+	}
+	// The edges themselves are in bounds.
+	if err := d.WriteMem(size-1, []byte{9}); err != nil {
+		t.Fatalf("write of the last byte: %v", err)
+	}
+	if err := d.WriteMem(size, nil); err != nil {
+		t.Fatalf("empty write at the end: %v", err)
+	}
+	if got, err := d.ReadMem(size-1, 1); err != nil || got[0] != 9 {
+		t.Fatalf("read of the last byte = %v, %v", got, err)
+	}
+}
+
+// Memory is paged on first write: a fresh device holds no pages, reads
+// of untouched memory give zeros, writes straddling page boundaries read
+// back intact, and a crash restore drops every page.
+func TestMemPagedOnFirstWrite(t *testing.T) {
+	_, _, _, d := rig()
+	allocated := func() int {
+		n := 0
+		for _, p := range d.mem.pages {
+			if p != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("fresh device holds %d pages", n)
+	}
+	if got, err := d.ReadMem(0, 3*memPageSize); err != nil || !bytes.Equal(got, make([]byte, 3*memPageSize)) {
+		t.Fatalf("untouched memory read %v, %v; want zeros", got[:8], err)
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("reading allocated %d pages", n)
+	}
+	data := make([]byte, 2*memPageSize+100)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	addr := uint64(5*memPageSize - 50) // spans four pages
+	if err := d.WriteMem(addr, data); err != nil {
+		t.Fatal(err)
+	}
+	if n := allocated(); n != 4 {
+		t.Fatalf("a write spanning 4 pages allocated %d", n)
+	}
+	got, err := d.ReadMem(addr-10, len(data)+20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(make([]byte, 10), data...), make([]byte, 10)...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("readback across page boundaries differs from what was written")
+	}
+	d.Hang()
+	d.Restore()
+	if n := allocated(); n != 4 {
+		t.Fatalf("hang restore kept %d of 4 pages", n)
+	}
+	d.Crash()
+	d.Restore()
+	if n := allocated(); n != 0 {
+		t.Fatalf("crash restore kept %d pages", n)
+	}
+	if got, _ := d.ReadMem(addr, len(data)); !bytes.Equal(got, make([]byte, len(data))) {
+		t.Fatal("crash restore kept memory contents")
 	}
 }
 

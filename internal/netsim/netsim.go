@@ -12,7 +12,9 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"hydra/internal/sim"
 )
@@ -183,9 +185,11 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 	return nil
 }
 
-// Broadcast sends the payload to every other attached station on port.
+// Broadcast sends the payload to every other attached station on port,
+// in station-name order, so egress serialization, delivery order and the
+// loss draws are the same on every run.
 func (s *Station) Broadcast(port uint16, payload []byte) error {
-	for name := range s.net.stations {
+	for _, name := range slices.Sorted(maps.Keys(s.net.stations)) {
 		if name == s.name {
 			continue
 		}

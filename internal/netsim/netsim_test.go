@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -129,20 +130,41 @@ func TestLoss(t *testing.T) {
 	}
 }
 
+// Broadcast sends in station-name order whatever the attach order: the
+// k-th name in sorted order leaves k+1 serialization slots after the
+// broadcast and takes the k-th jitter draw, so every arrival time is
+// known exactly and repeats from run to run.
 func TestBroadcast(t *testing.T) {
-	eng, n := rig()
-	a := n.Attach("a")
-	got := map[string]bool{}
-	for _, name := range []string{"b", "c", "d"} {
-		name := name
-		n.Attach(name).Bind(7, func(Packet) { got[name] = true })
+	const size = 1000
+	run := func() map[string]sim.Time {
+		eng, n := rig()
+		a := n.Attach("a")
+		got := map[string]sim.Time{}
+		for _, name := range []string{"d", "b", "e", "c"} {
+			name := name
+			n.Attach(name).Bind(7, func(Packet) { got[name] = eng.Now() })
+		}
+		if err := a.Broadcast(7, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunAll()
+		return got
 	}
-	if err := a.Broadcast(7, []byte("all")); err != nil {
-		t.Fatal(err)
+	eng, n := rig() // a twin of run's network, for its jitter draws
+	cfg := n.Config()
+	wire := sim.Time(float64(size) / cfg.BytesPerSec * float64(sim.Second))
+	want := map[string]sim.Time{}
+	for k, name := range []string{"b", "c", "d", "e"} {
+		noise := sim.Time(n.rng.NormFloat64() * float64(cfg.Jitter))
+		if noise < 0 {
+			noise = -noise
+		}
+		want[name] = eng.Now() + sim.Time(k+1)*wire + cfg.SwitchLatency + wire + 2*cfg.PropDelay + noise
 	}
-	eng.RunAll()
-	if len(got) != 3 {
-		t.Fatalf("broadcast reached %v", got)
+	for trial := 0; trial < 20; trial++ {
+		if got := run(); !maps.Equal(got, want) {
+			t.Fatalf("trial %d: arrivals %v, want %v", trial, got, want)
+		}
 	}
 }
 

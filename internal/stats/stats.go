@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -51,27 +52,103 @@ func Summarize(xs []float64) Summary {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
+// interpolation between order statistics. xs need not be sorted and is
+// not modified. The order statistics are those sort.Float64s would put
+// in place — NaN orders first — but found by selection on a copy, in
+// linear expected time, rather than by sorting it.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if q <= 0 {
-		return sorted[0]
+		return extreme(xs, orderLess)
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return extreme(xs, func(a, b float64) bool { return orderLess(b, a) })
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	buf := append([]float64(nil), xs...)
+	selectNth(buf, lo)
 	if lo == hi {
-		return sorted[lo]
+		return buf[lo]
 	}
+	// Everything after lo orders at or above buf[lo]; the least of it is
+	// the next order statistic.
+	next := extreme(buf[lo+1:], orderLess)
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return buf[lo]*(1-frac) + next*frac
+}
+
+// orderLess is sort.Float64s's order: numeric, with NaN before all else.
+func orderLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// extreme returns the first element of xs that no other precedes under
+// before: the minimum for orderLess.
+func extreme(xs []float64, before func(a, b float64) bool) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if before(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectNth reorders xs so that xs[n] is the value sorting would put
+// there, nothing before n orders after it and nothing after n orders
+// before it. It is quickselect with a median-of-three pivot and a
+// three-way partition (so runs of equal values end it early); a range
+// that is still large after 2·log2(len) rounds is sorted instead, which
+// bounds the worst case at O(n log n).
+func selectNth(xs []float64, n int) {
+	lo, hi := 0, len(xs)-1
+	budget := 2 * bits.Len(uint(len(xs)))
+	for hi > lo {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		budget--
+		p := medianOf3(xs[lo], xs[lo+(hi-lo)/2], xs[hi])
+		// Partition into [lo,lt) before p, [lt,gt] equal to p, (gt,hi] after p.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := xs[i]; {
+			case orderLess(x, p):
+				xs[lt], xs[i] = xs[i], xs[lt]
+				lt++
+				i++
+			case orderLess(p, x):
+				xs[gt], xs[i] = xs[i], xs[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt - 1
+		case n > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+}
+
+func medianOf3(a, b, c float64) float64 {
+	if orderLess(b, a) {
+		a, b = b, a
+	}
+	if orderLess(c, b) {
+		b = c
+		if orderLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // Histogram is a fixed-width binned histogram over [Lo, Hi). Samples outside

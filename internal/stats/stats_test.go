@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +61,85 @@ func TestQuantile(t *testing.T) {
 	}
 	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Error("quantile of empty slice should be NaN")
+	}
+}
+
+// quantileBySort is the copy-and-sort definition Quantile must match.
+func quantileBySort(xs []float64, q float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// Quantile by selection returns exactly what sorting returns, over
+// random vectors rich in duplicates, ±Inf and NaN, at every length from
+// 1 up, and leaves its input untouched.
+func TestQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, 1, -1}
+	qs := []float64{0, 0.5, 0.99, 1}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + trial%7
+		if trial%5 == 0 {
+			n = 1 + rng.Intn(400)
+		}
+		xs := make([]float64, n)
+		distinct := 1 + rng.Intn(2*n) // few distinct values → many duplicates
+		for i := range xs {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				xs[i] = specials[rng.Intn(len(specials))]
+			case r < 4 && i > 0:
+				xs[i] = xs[rng.Intn(i)]
+			default:
+				xs[i] = float64(rng.Intn(distinct)) * 0.37
+			}
+		}
+		if trial%11 == 0 { // already sorted, and reversed, inputs
+			sort.Float64s(xs)
+			if trial%22 == 0 {
+				slices.Reverse(xs)
+			}
+		}
+		orig := slices.Clone(xs)
+		for _, q := range append(qs, rng.Float64()) {
+			got, want := Quantile(xs, q), quantileBySort(xs, q)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d: Quantile(%v, %v) = %v, sorting gives %v", trial, xs, q, got, want)
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: Quantile modified its input", trial)
+			}
+		}
+	}
+}
+
+// The same value sort.Float64s's order gives: NaN first, then -Inf.
+func TestQuantileNaNOrder(t *testing.T) {
+	xs := []float64{3, math.NaN(), math.Inf(-1), 1, math.NaN()}
+	if q := Quantile(xs, 0); !math.IsNaN(q) {
+		t.Errorf("q0 = %v, want NaN (sorts first)", q)
+	}
+	if q := Quantile(xs, 0.5); q != math.Inf(-1) {
+		t.Errorf("q50 = %v, want -Inf", q)
+	}
+	if q := Quantile(xs, 1); q != 3 {
+		t.Errorf("q1 = %v, want 3", q)
 	}
 }
 

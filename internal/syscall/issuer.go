@@ -1,9 +1,11 @@
 package syscall
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hydra/internal/call"
 	"hydra/internal/channel"
@@ -32,12 +34,19 @@ var ErrDetached = errors.New("syscall: issuer not attached to a channel")
 // silently drop their effects. New work belongs to the restored issuer.
 var ErrSealed = errors.New("syscall: issuer sealed by checkpoint")
 
-type pendingCall struct {
+// callRecord is one record of the issuer's slab: a request's wire buffer,
+// marshaled into in place, plus — while the call is pending — what its
+// completion needs. A fire-and-forget request uses a record only for its
+// buffer. A record is free once it is neither pending nor named by an
+// outbox entry.
+type callRecord struct {
+	id       uint64
 	op       Op
-	mode     Mode
 	issued   sim.Time
 	k        func(*Completion)
-	wire     []byte // retained while pending, for checkpoint + reissue
+	wire     []byte // kept while pending, for checkpoint + reissue
+	queued   int    // outbox entries that will send wire
+	live     bool   // in the pending table
 	restored bool   // entry rebuilt by Restore; completion routes to the default handler
 }
 
@@ -55,7 +64,9 @@ type Issuer struct {
 	tr   *obs.Shard
 
 	nextSeq  uint64
-	pending  map[uint64]pendingCall
+	pending  idIndex      // pending call id → its record in calls
+	calls    []callRecord // record slab; free records are listed in callFree
+	callFree []int32
 	inFlight int
 	sealed   bool
 	defaultK func(*Completion)
@@ -69,7 +80,10 @@ type Issuer struct {
 	// the channel, in Exec order; sendFn, bound once, writes the head when
 	// its issue segment completes. A device failure drops the queued
 	// segments, so each entry carries the failure generation it was
-	// posted under and send skips entries from dead firmware.
+	// posted under and send skips entries from dead firmware. Entries
+	// name the record whose buffer they send, so a record is not reused
+	// while an entry names it — a reissue may still be queued when its
+	// original's completion arrives.
 	outbox ring.Deque[outEntry]
 	sendFn func()
 }
@@ -86,7 +100,6 @@ func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 		prof:    prof.withDefaults(),
 		tr:      obs.ForCat(eng, obs.CatSyscall),
 		nextSeq: 1,
-		pending: make(map[uint64]pendingCall),
 	}
 	i.sendFn = i.send
 	return i
@@ -94,21 +107,63 @@ func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 
 // Attach connects the issuer to its device-side channel endpoint and
 // installs the completion handler. Calls restored by a preceding Restore
-// are re-sent here (the host service dedups re-executions), so an
-// in-flight syscall survives the swap no matter whether its original
-// request, its completion, or neither was in the air.
+// are re-sent here in sequence order (the host service dedups
+// re-executions), so an in-flight syscall survives the swap no matter
+// whether its original request, its completion, or neither was in the
+// air.
 func (i *Issuer) Attach(end *channel.Endpoint) {
 	i.end = end
 	end.InstallCallHandler(i.onCompletion)
-	for id, p := range i.pending {
-		if !p.restored || p.wire == nil {
+	for _, slot := range i.pendingInOrder() {
+		p := &i.calls[slot]
+		if !p.restored || len(p.wire) == 0 {
 			continue
 		}
 		i.stats.Reissued++
 		if i.tr.On() {
-			i.tr.Instant(obs.CatSyscall, trReissue, int64(idSeq(id)))
+			i.tr.Instant(obs.CatSyscall, trReissue, int64(idSeq(p.id)))
 		}
-		i.post(p.wire, false)
+		i.post(slot, false)
+	}
+}
+
+// pendingInOrder lists the pending records by ascending sequence number.
+func (i *Issuer) pendingInOrder() []int32 {
+	slots := make([]int32, 0, i.pending.count())
+	for s := range i.calls {
+		if i.calls[s].live {
+			slots = append(slots, int32(s))
+		}
+	}
+	slices.SortFunc(slots, func(a, b int32) int {
+		return cmp.Compare(idSeq(i.calls[a].id), idSeq(i.calls[b].id))
+	})
+	return slots
+}
+
+// newCall takes a free record, or grows the slab. The record keeps the
+// buffer of its previous use.
+func (i *Issuer) newCall() int32 {
+	if n := len(i.callFree); n > 0 {
+		slot := i.callFree[n-1]
+		i.callFree = i.callFree[:n-1]
+		return slot
+	}
+	i.calls = append(i.calls, callRecord{})
+	return int32(len(i.calls) - 1)
+}
+
+// retire takes a record out of the pending table.
+func (i *Issuer) retire(slot int32) {
+	p := &i.calls[slot]
+	p.live, p.restored, p.k = false, false, nil
+	i.freeIfIdle(slot)
+}
+
+// freeIfIdle frees a record that is neither pending nor queued to send.
+func (i *Issuer) freeIfIdle(slot int32) {
+	if p := &i.calls[slot]; !p.live && p.queued == 0 {
+		i.callFree = append(i.callFree, slot)
 	}
 }
 
@@ -164,8 +219,12 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 	}
 	id := packID(i.nextSeq, mode)
 	i.nextSeq++
-	wire, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
+	slot := i.newCall()
+	p := &i.calls[slot]
+	var err error
+	p.wire, err = call.AppendCall(p.wire[:0], &call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
 	if err != nil {
+		i.freeIfIdle(slot)
 		i.releaseCredit()
 		return err
 	}
@@ -173,39 +232,45 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 	if i.tr.On() {
 		i.tr.Instant(obs.CatSyscall, trIssue, int64(idSeq(id)))
 	}
-	if mode == ModeFireForget {
+	ff := mode == ModeFireForget
+	if ff {
 		i.stats.FireForget++
-		i.post(wire, true)
-		return nil
+	} else {
+		p.id, p.op, p.issued, p.k, p.live = id, op, i.eng.Now(), k, true
+		i.pending.put(id, slot)
 	}
-	i.pending[id] = pendingCall{op: op, mode: mode, issued: i.eng.Now(), k: k, wire: wire}
-	i.post(wire, false)
+	i.post(slot, ff)
 	return nil
 }
 
-// outEntry is one request waiting in the outbox for its issue segment.
+// outEntry is one request waiting in the outbox for its issue segment,
+// naming the record whose wire it sends.
 type outEntry struct {
-	wire []byte
-	gen  uint64
+	slot int32
 	ff   bool // fire-and-forget: the credit is released once written
+	gen  uint64
 }
 
 // devGen counts the device's failures; it changes exactly when queued
 // firmware work is dropped.
 func (i *Issuer) devGen() uint64 { return i.dev.Crashes() + i.dev.Hangs() }
 
-// post charges the firmware issue cost and then writes wire to the
-// channel. Work posted to an unhealthy device is dropped by Exec, so it
-// gets no outbox entry.
-func (i *Issuer) post(wire []byte, ff bool) {
+// post charges the firmware issue cost and then writes the request's
+// wire to the channel. Work posted to an unhealthy device is dropped by
+// Exec, so it gets no outbox entry.
+func (i *Issuer) post(slot int32, ff bool) {
 	if i.dev.Healthy() {
-		i.outbox.PushBack(outEntry{wire: wire, gen: i.devGen(), ff: ff})
+		i.calls[slot].queued++
+		i.outbox.PushBack(outEntry{slot: slot, ff: ff, gen: i.devGen()})
+	} else {
+		i.freeIfIdle(slot)
 	}
 	i.dev.Exec(issueCycles, i.sendFn)
 }
 
 // send is every issue segment's continuation: it writes the oldest
-// request still owned by live firmware.
+// request still owned by live firmware. Every entry it pops, sent or
+// skipped, releases its hold on its record.
 func (i *Issuer) send() {
 	gen := i.devGen()
 	for {
@@ -213,14 +278,18 @@ func (i *Issuer) send() {
 		if !ok {
 			return
 		}
-		if e.gen != gen {
-			continue // posted by firmware that died before its segment ran
+		live := e.gen == gen // else posted by firmware that died before its segment ran
+		if live {
+			_ = i.end.Write(i.calls[e.slot].wire)
+			if e.ff {
+				i.releaseCredit()
+			}
 		}
-		_ = i.end.Write(e.wire)
-		if e.ff {
-			i.releaseCredit()
+		i.calls[e.slot].queued--
+		i.freeIfIdle(e.slot)
+		if live {
+			return
 		}
-		return
 	}
 }
 
@@ -231,7 +300,7 @@ func (i *Issuer) onCompletion(data []byte) {
 		return // not a completion (e.g. unrelated traffic on a shared channel)
 	}
 	id := rep.ReturnDesc
-	p, ok := i.pending[id]
+	slot, ok := i.pending.del(id)
 	if !ok {
 		// Already completed once — a duplicate from reissue-after-restore.
 		i.stats.Orphaned++
@@ -240,7 +309,8 @@ func (i *Issuer) onCompletion(data []byte) {
 		}
 		return
 	}
-	delete(i.pending, id)
+	p := i.calls[slot]
+	i.retire(slot)
 	i.releaseCredit()
 	now := i.eng.Now()
 	c := &i.comp
@@ -277,20 +347,10 @@ func (i *Issuer) Checkpoint() []byte {
 	i.sealed = true
 	b := []byte{ckptVersion}
 	b = binary.LittleEndian.AppendUint64(b, i.nextSeq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(i.pending)))
-	// Deterministic order: ids ascend by sequence.
-	ids := make([]uint64, 0, len(i.pending))
-	for id := range i.pending {
-		ids = append(ids, id)
-	}
-	for x := 1; x < len(ids); x++ {
-		for y := x; y > 0 && idSeq(ids[y]) < idSeq(ids[y-1]); y-- {
-			ids[y], ids[y-1] = ids[y-1], ids[y]
-		}
-	}
-	for _, id := range ids {
-		p := i.pending[id]
-		b = binary.LittleEndian.AppendUint64(b, id)
+	b = binary.LittleEndian.AppendUint32(b, uint32(i.pending.count()))
+	for _, slot := range i.pendingInOrder() {
+		p := &i.calls[slot]
+		b = binary.LittleEndian.AppendUint64(b, p.id)
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.issued))
 		b = append(b, byte(p.op))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.wire)))
@@ -321,12 +381,19 @@ func (i *Issuer) Restore(b []byte) error {
 		if len(rest) < wl {
 			return fmt.Errorf("syscall: truncated checkpoint wire %d", j)
 		}
-		wire := append([]byte(nil), rest[:wl]...)
+		wire := rest[:wl]
 		rest = rest[wl:]
 		if err := i.chargeCredit(); err != nil {
 			return fmt.Errorf("syscall: restore over credit limit: %w", err)
 		}
-		i.pending[id] = pendingCall{op: op, mode: idMode(id), issued: issued, wire: wire, restored: true}
+		if old, dup := i.pending.del(id); dup {
+			i.retire(old) // a repeated id replaces the earlier entry
+		}
+		slot := i.newCall()
+		i.pending.put(id, slot)
+		p := &i.calls[slot]
+		p.id, p.op, p.issued, p.k, p.live, p.restored = id, op, issued, nil, true, true
+		p.wire = append(p.wire[:0], wire...)
 	}
 	return nil
 }

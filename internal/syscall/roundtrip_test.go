@@ -24,18 +24,20 @@ func clockRounds(tb testing.TB, r *rig, n int) {
 }
 
 // roundTripAllocs pins the heap allocations of one warm async clock
-// syscall, device issue to device completion. What remains: the request
-// wire (Marshal), the device's DMA-to-host completion closure, the boxed
-// clock value on the host, the reply wire (MarshalReply) and the boxed
+// syscall, device issue to device completion. Both wires are marshaled
+// into reused buffers; what remains is the device's DMA-to-host
+// completion closure, the boxed clock value on the host and the boxed
 // clock value decoded on the device.
-const roundTripAllocs = 5
+const roundTripAllocs = 3
 
 func TestClockRoundTripAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	r := newRig(t, DefaultProfile(), nil)
-	clockRounds(t, r, 256) // warm every pool and free list on the path
+	// Warm every pool and free list on the path, and fill the reply
+	// cache so its slots' buffers are being reused.
+	clockRounds(t, r, replyCacheSize+256)
 	done := 0
 	k := func(*Completion) { done++ }
 	got := testing.AllocsPerRun(200, func() {
@@ -54,7 +56,7 @@ func TestClockRoundTripAllocs(t *testing.T) {
 
 func BenchmarkSyscallRoundTrip(b *testing.B) {
 	r := newRig(b, DefaultProfile(), nil)
-	clockRounds(b, r, 256)
+	clockRounds(b, r, replyCacheSize+256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	clockRounds(b, r, b.N)

@@ -30,6 +30,10 @@ var opBaseCycles = [numOps]uint64{
 // replayed traffic, not the whole run.
 const replyCacheSize = 4096
 
+// idExecuting marks an id in Service.calls that is in the dispatcher;
+// any other value is the slot of the id's cached reply.
+const idExecuting int32 = -1
+
 // Service is the host side of the syscall subsystem: it decodes requests
 // off the channel, lands them in a hostos.WorkerPool dispatcher, executes
 // them against the VFS with per-op kernel cycle costs, and writes
@@ -44,15 +48,25 @@ type Service struct {
 	end  *channel.Endpoint
 	tr   *obs.Shard
 
-	replyCache map[uint64][]byte
-	cacheOrder [replyCacheSize]uint64 // FIFO eviction ring over replyCache keys
-	cacheNext  int                    // next cacheOrder slot to fill (and evict)
-	executing  map[uint64]bool        // ids submitted to the pool, not yet finished
-	stats      Stats
+	// calls maps every id the service knows to idExecuting while it is
+	// in the dispatcher, then to its slot in the reply cache. The cache
+	// fills up to replyCacheSize slots and then evicts FIFO in finish
+	// order: cacheNext is the next slot to fill, and to evict once full.
+	// Each slot owns its wire buffer and marshals into it in place.
+	calls     idIndex
+	cache     []cachedReply
+	cacheNext int
+	stats     Stats
 
 	req     call.Call  // decode target for onRequest, reused per request
 	reqFree []*request // recycled requests; dispatch runs alloc-free once warm
 	result1 [1]any     // backing for one-value result vectors (see one)
+}
+
+// cachedReply is one reply-cache slot.
+type cachedReply struct {
+	id   uint64
+	wire []byte
 }
 
 // request is one dispatched syscall on its way through the worker pool.
@@ -120,13 +134,11 @@ func NewService(vfs *hostos.VFS, prof Profile) *Service {
 	prof = prof.withDefaults()
 	m := vfs.Machine()
 	return &Service{
-		m:          m,
-		eng:        m.Engine(),
-		vfs:        vfs,
-		pool:       hostos.NewWorkerPool(m, "syscalld", prof.Workers),
-		tr:         obs.ForCat(m.Engine(), obs.CatSyscall),
-		replyCache: make(map[uint64][]byte),
-		executing:  make(map[uint64]bool),
+		m:    m,
+		eng:  m.Engine(),
+		vfs:  vfs,
+		pool: hostos.NewWorkerPool(m, "syscalld", prof.Workers),
+		tr:   obs.ForCat(m.Engine(), obs.CatSyscall),
 	}
 }
 
@@ -161,29 +173,22 @@ func (s *Service) onRequest(data []byte) {
 	if s.tr.On() {
 		s.tr.Instant(obs.CatSyscall, trDispatch, int64(idSeq(id)))
 	}
-	if cached, ok := s.replyCache[id]; ok {
-		// Duplicate (reissue after a swap): answer from the cache without
-		// re-executing, preserving exactly-once side effects.
-		s.stats.Deduped++
-		if s.tr.On() {
-			s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
-		}
-		if idMode(id) != ModeFireForget && cached != nil {
-			s.stats.RepliesSent++
-			_ = s.end.Write(cached)
-		}
-		return
-	}
-	if s.executing[id] {
-		// Duplicate of a call still in the dispatcher: the original's
+	if v, ok := s.calls.get(id); ok {
+		// A duplicate. Of a finished call (reissue after a swap): answer
+		// from the cache without re-executing, preserving exactly-once
+		// side effects. Of a call still in the dispatcher: the original's
 		// reply is on its way, so this copy is dropped outright.
 		s.stats.Deduped++
 		if s.tr.On() {
 			s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
 		}
+		if v != idExecuting && idMode(id) != ModeFireForget {
+			s.stats.RepliesSent++
+			_ = s.end.Write(s.cache[v].wire)
+		}
 		return
 	}
-	s.executing[id] = true
+	s.calls.put(id, idExecuting)
 	r := s.newRequest()
 	r.id, r.op = id, op
 	r.args = append(r.args, c.Args...)
@@ -220,17 +225,20 @@ func (s *Service) cycles(op Op, args []any) uint64 {
 // finish caches the reply for at-most-once dedup and sends the completion
 // unless the call was fire-and-forget.
 func (s *Service) finish(id uint64, rep *call.Reply) {
-	delete(s.executing, id)
-	wire, err := call.MarshalReply(rep)
+	slot := s.cacheNext
+	if slot == len(s.cache) {
+		s.cache = append(s.cache, cachedReply{})
+	} else {
+		s.calls.del(s.cache[slot].id) // evict the oldest reply
+	}
+	e := &s.cache[slot]
+	wire, err := call.AppendReply(e.wire[:0], rep)
 	if err != nil {
-		wire, _ = call.MarshalReply(&call.Reply{ReturnDesc: id, Err: "syscall: unmarshalable results"})
+		wire, _ = call.AppendReply(e.wire[:0], &call.Reply{ReturnDesc: id, Err: "syscall: unmarshalable results"})
 	}
-	if len(s.replyCache) >= replyCacheSize {
-		delete(s.replyCache, s.cacheOrder[s.cacheNext])
-	}
-	s.replyCache[id] = wire
-	s.cacheOrder[s.cacheNext] = id
-	s.cacheNext = (s.cacheNext + 1) % replyCacheSize
+	e.id, e.wire = id, wire
+	s.calls.put(id, int32(slot))
+	s.cacheNext = (slot + 1) % replyCacheSize
 	if idMode(id) != ModeFireForget {
 		s.stats.RepliesSent++
 		_ = s.end.Write(wire)

@@ -21,6 +21,7 @@ type rig struct {
 	svc  *Service
 	iss  *Issuer
 	ch   *channel.Channel
+	hend *channel.Endpoint
 	dend *channel.Endpoint
 }
 
@@ -46,7 +47,7 @@ func newRig(t testing.TB, prof Profile, res *resource.Node) *rig {
 	svc.Attach(hend)
 	iss := NewIssuer(disk, prof, res)
 	iss.Attach(dend)
-	return &rig{eng: eng, host: host, b: b, disk: disk, vfs: vfs, svc: svc, iss: iss, ch: ch, dend: dend}
+	return &rig{eng: eng, host: host, b: b, disk: disk, vfs: vfs, svc: svc, iss: iss, ch: ch, hend: hend, dend: dend}
 }
 
 func TestFileSyscallRoundTrip(t *testing.T) {
