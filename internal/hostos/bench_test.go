@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hydra/internal/cache"
+	"hydra/internal/sim"
 )
 
 // BenchmarkDispatch is run-queue dispatch of one task's successive work
@@ -39,4 +40,18 @@ func BenchmarkInterruptStorm(b *testing.B) {
 		}
 	}
 	eng.RunAll()
+}
+
+// BenchmarkIdleLoad is one simulated second of an idle PentiumIV machine
+// running DefaultIdleLoad, cache walks included: ns/op is wall time per
+// simulated second.
+func BenchmarkIdleLoad(b *testing.B) {
+	eng, m := testMachine()
+	startIdleLoad(b, m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Run(eng.Now() + sim.Second)
+	}
+	m.L2()
 }

@@ -42,6 +42,44 @@ func DefaultIdleLoad() IdleLoadConfig {
 	}
 }
 
+// IdleLoadError is the typed error IdleLoadConfig.Validate returns for a
+// field outside its range.
+type IdleLoadError struct {
+	Field  string // the IdleLoadConfig field
+	Reason string
+}
+
+func (e *IdleLoadError) Error() string {
+	return fmt.Sprintf("hostos: idle load %s %s", e.Field, e.Reason)
+}
+
+// Validate reports the first field of cfg the daemons cannot run with:
+// negative counts or sizes, a non-positive period, fractions outside
+// [0, 1] (which would drive the per-wake cycle budget negative), or a
+// stream that does not fit strictly inside its rotating region.
+func (cfg IdleLoadConfig) Validate() error {
+	bad := func(field, reason string) error { return &IdleLoadError{Field: field, Reason: reason} }
+	switch {
+	case cfg.Daemons < 0:
+		return bad("Daemons", "is negative")
+	case cfg.Daemons > 0 && cfg.Period <= 0:
+		return bad("Period", "must be positive")
+	case !(cfg.CycleJitterFrac >= 0 && cfg.CycleJitterFrac <= 1):
+		return bad("CycleJitterFrac", "must lie in [0, 1]")
+	case !(cfg.KernelFraction >= 0 && cfg.KernelFraction <= 1):
+		return bad("KernelFraction", "must lie in [0, 1]")
+	case cfg.ResidentBytes < 0:
+		return bad("ResidentBytes", "is negative")
+	case cfg.StreamBytes < 0:
+		return bad("StreamBytes", "is negative")
+	case cfg.StreamRegion < 0:
+		return bad("StreamRegion", "is negative")
+	case cfg.StreamBytes > 0 && cfg.StreamRegion <= cfg.StreamBytes:
+		return bad("StreamRegion", "must exceed StreamBytes")
+	}
+	return nil
+}
+
 // IdleLoad is a handle on the running background daemons.
 type IdleLoad struct {
 	tasks []*Task
@@ -49,8 +87,12 @@ type IdleLoad struct {
 
 // StartIdleLoad launches the background daemons on m. Experiments start it
 // on every host so "idle" scenarios measure the same baseline the paper's
-// idle rows report.
-func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
+// idle rows report. An invalid cfg starts nothing and returns Validate's
+// error.
+func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) (*IdleLoad, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	il := &IdleLoad{}
 	kBytes := int(float64(cfg.ResidentBytes) * cfg.KernelFraction)
 	for i := 0; i < cfg.Daemons; i++ {
@@ -63,10 +105,10 @@ func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
 
 		var wake func()
 		wake = func() {
-			m.l2.AccessRange(cache.Kernel, resident, kBytes)
-			m.l2.AccessRange(cache.User, resident+uint64(kBytes), cfg.ResidentBytes-kBytes)
+			m.l2.access(cache.Kernel, resident, kBytes)
+			m.l2.access(cache.User, resident+uint64(kBytes), cfg.ResidentBytes-kBytes)
 			if cfg.StreamBytes > 0 {
-				m.l2.AccessRange(cache.Kernel, stream+uint64(streamOff), cfg.StreamBytes)
+				m.l2.access(cache.Kernel, stream+uint64(streamOff), cfg.StreamBytes)
 				streamOff = (streamOff + cfg.StreamBytes) % (cfg.StreamRegion - cfg.StreamBytes)
 			}
 
@@ -84,5 +126,5 @@ func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
 		phase := sim.Time(i) * cfg.Period / sim.Time(cfg.Daemons)
 		m.eng.Schedule(phase, wake)
 	}
-	return il
+	return il, nil
 }

@@ -74,7 +74,7 @@ type Machine struct {
 	eng *sim.Engine
 	cfg Config
 	rng *rand.Rand
-	l2  *cache.Cache
+	l2  l2pipe // the L2 model behind its operation log (l2log.go)
 
 	runq     ring.Deque[*segment] // ready work, FIFO within priority
 	running  bool
@@ -108,10 +108,10 @@ func New(eng *sim.Engine, name string, cfg Config) *Machine {
 		eng:      eng,
 		cfg:      cfg,
 		rng:      eng.NewRand(int64(len(name))*131 + int64(name[0])),
-		l2:       cache.New(cfg.Cache),
 		nextAddr: 1 << 20, // leave page zero unused
 		tr:       obs.ForCat(eng, obs.CatHost),
 	}
+	m.l2.init(cfg.Cache)
 	m.irqTask = &Task{m: m, name: "irq"}
 	m.doneFn = func() {
 		s := m.cur
@@ -153,8 +153,11 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// L2 exposes the cache model for DMA invalidation and experiment readout.
-func (m *Machine) L2() *cache.Cache { return m.l2 }
+// L2 applies every pending cache operation and returns the cache model for
+// experiment readout. The machine's later Copy, TouchRange, DMAWrite and
+// idle-daemon walks may be applied to it on another goroutine, so callers
+// must not keep the pointer across later host operations: call L2 again.
+func (m *Machine) L2() *cache.Cache { return m.l2.drain() }
 
 // CyclesToTime converts a cycle count to virtual time at the core clock.
 func (m *Machine) CyclesToTime(cycles uint64) sim.Time {
@@ -246,7 +249,7 @@ func (m *Machine) DMAWrite(addr uint64, size int) {
 		return
 	}
 	// Non-allocating DMA drops the stale lines without counting accesses.
-	m.l2.InvalidateRange(addr, size)
+	m.l2.invalidate(addr, size)
 }
 
 // BusyTime reports accumulated CPU busy time (all contexts).
@@ -305,8 +308,8 @@ func (t *Task) Compute(cycles uint64, k func()) { t.Run(cycles, cache.User, k) }
 // Copy models memcpy(dst, src, size) in context ctx: it walks the cache over
 // both ranges and charges the copy cycles, then calls k.
 func (t *Task) Copy(ctx cache.Context, src, dst uint64, size int, k func()) {
-	t.m.l2.AccessRange(ctx, src, size)
-	t.m.l2.AccessRange(ctx, dst, size)
+	t.m.l2.access(ctx, src, size)
+	t.m.l2.access(ctx, dst, size)
 	t.Run(t.m.CopyCycles(size), ctx, k)
 }
 
@@ -314,7 +317,7 @@ func (t *Task) Copy(ctx cache.Context, src, dst uint64, size int, k func()) {
 // charging CPU time; use it to model header inspection folded into a
 // syscall's cycle budget.
 func (t *Task) TouchRange(ctx cache.Context, addr uint64, size int) {
-	t.m.l2.AccessRange(ctx, addr, size)
+	t.m.l2.access(ctx, addr, size)
 }
 
 // Sleep blocks the task for at least d, waking at the next timer tick
@@ -476,7 +479,7 @@ type MissRateSampler struct {
 func (m *Machine) SampleKernelMissRate(interval sim.Time) *MissRateSampler {
 	s := &MissRateSampler{}
 	m.eng.Tick(interval, 0, func() {
-		st := m.l2.Stats(cache.Kernel)
+		st := m.L2().Stats(cache.Kernel)
 		da := st.Accesses - s.lastAccesses
 		dm := st.Misses - s.lastMisses
 		if da > 0 {

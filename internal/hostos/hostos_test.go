@@ -176,7 +176,7 @@ func TestAllocAligned(t *testing.T) {
 
 func TestIdleLoadBaseline(t *testing.T) {
 	eng, m := testMachine()
-	m.StartIdleLoad(DefaultIdleLoad())
+	startIdleLoad(t, m)
 	samp := m.SampleUtilization(5 * sim.Second)
 	eng.Run(60 * sim.Second)
 	s := stats.Summarize(samp.Samples)
@@ -194,7 +194,7 @@ func TestIdleLoadBaseline(t *testing.T) {
 
 func TestIdleLoadKernelMissRateSteady(t *testing.T) {
 	eng, m := testMachine()
-	m.StartIdleLoad(DefaultIdleLoad())
+	startIdleLoad(t, m)
 	samp := m.SampleKernelMissRate(5 * sim.Second)
 	eng.Run(60 * sim.Second)
 	if len(samp.Samples) < 10 {
@@ -239,7 +239,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Time, float64) {
 		eng := sim.NewEngine(11)
 		m := New(eng, "host", PentiumIV())
-		m.StartIdleLoad(DefaultIdleLoad())
+		startIdleLoad(t, m)
 		eng.Run(10 * sim.Second)
 		return m.BusyTime(), m.L2().Stats(cache.Kernel).MissRate()
 	}

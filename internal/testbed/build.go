@@ -292,7 +292,11 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 			}
 		}
 		if h.IdleLoad != nil {
-			hs.IdleLoad = hs.Machine.StartIdleLoad(*h.IdleLoad)
+			il, err := hs.Machine.StartIdleLoad(*h.IdleLoad)
+			if err != nil {
+				return nil, fmt.Errorf("testbed: host %q: %w", h.Name, err)
+			}
+			hs.IdleLoad = il
 		}
 		sys.hosts[h.Name] = hs
 		sys.hostList = append(sys.hostList, hs)

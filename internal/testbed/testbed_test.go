@@ -11,6 +11,7 @@ import (
 	"hydra/internal/device"
 	"hydra/internal/faults"
 	"hydra/internal/guid"
+	"hydra/internal/hostos"
 	"hydra/internal/netsim"
 	"hydra/internal/nfs"
 	"hydra/internal/objfile"
@@ -154,6 +155,28 @@ func TestBuildValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := New(1, c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestBuildRejectsInvalidIdleLoad covers idle-load settings the daemons
+// cannot run with: a stream as large as its rotating region divides by
+// zero on the first wake, and a fraction above 1 drives the per-wake cycle
+// budget negative, which wraps busy time through uint64.
+func TestBuildRejectsInvalidIdleLoad(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		edit  func(*hostos.IdleLoadConfig)
+	}{
+		{"StreamRegion", func(c *hostos.IdleLoadConfig) { c.StreamRegion = c.StreamBytes }},
+		{"CycleJitterFrac", func(c *hostos.IdleLoadConfig) { c.CycleJitterFrac = 2 }},
+		{"KernelFraction", func(c *hostos.IdleLoadConfig) { c.KernelFraction = 1.5 }},
+	} {
+		cfg := DefaultIdleLoad()
+		c.edit(cfg)
+		_, err := New(1, Spec{Hosts: []HostSpec{{Name: "h", IdleLoad: cfg}}})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want one naming the field", c.field, err)
 		}
 	}
 }

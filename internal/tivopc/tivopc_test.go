@@ -2,7 +2,9 @@ package tivopc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"hydra/internal/sim"
 )
@@ -344,5 +346,23 @@ func TestOffloadedServerRunsInItsSession(t *testing.T) {
 	}
 	if len(tb.BackgroundApp.Offcodes()) != 0 {
 		t.Fatal("background session owns offcodes it never deployed")
+	}
+}
+
+// TestDroppedTestbedLeaksNoGoroutines runs the Simple Server experiment and
+// drops its testbed. A host cache batch may still be in flight when the
+// run returns; it finishes on its own, so the goroutine count comes back
+// to where it started.
+func TestDroppedTestbedLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := RunServerScenario(SimpleServer, 5, 3*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
