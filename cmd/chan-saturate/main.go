@@ -65,7 +65,7 @@ func main() {
 	if *tracePath != "" {
 		trace = &obs.Config{}
 	}
-	row, tr, err := experiments.RunSaturationCellTraced(*seed, duration, *rate, *batch, sim.Time(*coalesce), trace)
+	row, tr, err := experiments.RunSaturationCell(*seed, duration, *rate, *batch, sim.Time(*coalesce), trace)
 	if err != nil {
 		log.Fatal(err)
 	}

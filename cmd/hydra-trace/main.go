@@ -6,11 +6,11 @@
 // produced — and the longest individual spans.
 //
 // Traces holding device-syscall records (the syscall component, written
-// by `hydra-bench -trace-x11`) get an extra section: the call lifecycle
-// funnel (issued→dispatched→completed plus replay/dedup counts), the
-// host dispatch cost per mode (sync/async/ff exec spans), per-op
-// device-observed completion latency, and the -top N slowest individual
-// syscalls by end-to-end span.
+// by `hydra-bench -scenario x11 -trace`) get an extra section: the call
+// lifecycle funnel (issued→dispatched→completed plus replay/dedup
+// counts), the host dispatch cost per mode (sync/async/ff exec spans),
+// per-op device-observed completion latency, and the -top N slowest
+// individual syscalls by end-to-end span.
 //
 // With -msg ID it instead reconstructs the critical path of one message
 // through the stack: the window from the message's chan.send instant to

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -68,22 +69,13 @@ func (w *x9Worker) ChannelConnected(ep *channel.Endpoint) {
 	})
 }
 
-func (w *x9Worker) Checkpoint() []byte {
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(w.recv >> (8 * i))
-	}
-	return out
-}
+func (w *x9Worker) Checkpoint() []byte { return binary.LittleEndian.AppendUint64(nil, w.recv) }
 
 func (w *x9Worker) Restore(state []byte) error {
 	if len(state) != 8 {
 		return fmt.Errorf("x9: bad checkpoint of %d bytes", len(state))
 	}
-	w.recv = 0
-	for i := 0; i < 8; i++ {
-		w.recv |= uint64(state[i]) << (8 * i)
-	}
+	w.recv = binary.LittleEndian.Uint64(state)
 	return nil
 }
 
@@ -164,19 +156,16 @@ type ClusterResults struct {
 func x9Link() cluster.Link     { return cluster.DefaultLink() }
 func x9SlowLink() cluster.Link { return cluster.Link{Latency: 5 * sim.Millisecond, BytesPerSec: 125e6} }
 
-// clusterVariants is the X9 grid.
-func clusterVariants() []struct {
+type clusterVariant struct {
 	name  string
 	hosts int
 	link  cluster.Link
 	kill  bool
-} {
-	type v = struct {
-		name  string
-		hosts int
-		link  cluster.Link
-		kill  bool
-	}
+}
+
+// clusterVariants is the X9 grid.
+func clusterVariants() []clusterVariant {
+	type v = clusterVariant
 	return []v{
 		{"1 host", 1, x9Link(), false},
 		{"2 hosts", 2, x9Link(), false},
@@ -186,34 +175,23 @@ func clusterVariants() []struct {
 	}
 }
 
-// RunCluster executes the X9 grid through testbed.Sweep (one private
-// engine per cell; results bit-identical to a serial loop).
-func RunCluster(seed int64, duration sim.Time) (*ClusterResults, error) {
-	return RunClusterWorkers(seed, duration, 0)
-}
-
-// RunClusterWorkers is RunCluster with an explicit sweep worker count
-// (1 = serial), for serial-vs-parallel verification.
-func RunClusterWorkers(seed int64, duration sim.Time, workers int) (*ClusterResults, error) {
+// RunCluster executes the X9 grid through testbed.Sweep on workers
+// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
+// results bit-identical for any workers value).
+func RunCluster(seed int64, duration sim.Time, workers int) (*ClusterResults, error) {
 	variants := clusterVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
-		func(r testbed.Replica) (*ClusterRow, error) {
-			v := variants[r.Index]
-			row, err := RunClusterCell(r.Seed, duration, v.hosts, X9Shards, v.link, v.kill)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := sweepRows(seed, len(variants), workers, func(seed int64, i int) (*ClusterRow, error) {
+		v := variants[i]
+		row, err := RunClusterCell(seed, duration, v.hosts, X9Shards, v.link, v.kill)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cluster: %w", err)
 	}
-	out := &ClusterResults{Duration: duration}
-	for _, row := range rows {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &ClusterResults{Duration: duration, Rows: rows}, nil
 }
 
 // x9Cell is one X9 topology: the fabric, the coordinator, the frontend
@@ -424,17 +402,12 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 // The row is bit-identical for any workers value — window bodies only
 // interact through bridge links whose latency bounds the lookahead —
 // which RunClusterParallel and the race tests assert.
-func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link) (*ClusterRow, error) {
-	row, _, err := RunClusterCellParallelTraced(seed, duration, hosts, shards, workers, link, nil)
-	return row, err
-}
-
-// RunClusterCellParallelTraced is RunClusterCellParallel with an optional
-// trace config. When trace is non-nil every per-host engine gets its own
-// recorder shard and the Tracer comes back alongside the row; the merged
-// record stream is bit-identical for any workers value, which the trace
-// determinism test asserts.
-func RunClusterCellParallelTraced(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
+//
+// When trace is non-nil every per-host engine gets its own recorder
+// shard and the Tracer comes back alongside the row; the merged record
+// stream is bit-identical for any workers value, which the trace
+// determinism test asserts. A nil trace runs untraced.
+func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
 	cell, err := buildX9Cell(seed, hosts, shards, link, true, trace)
 	if err != nil {
 		return nil, nil, err
@@ -484,23 +457,17 @@ func RunClusterParallel(seed int64, duration sim.Time, workers int) (*ClusterPar
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	t0 := time.Now()
-	serial, err := RunClusterCellParallel(seed, duration, 4, X9Shards, 1, x9Link())
+	var ms []float64 // serial, then parallel wall clock
+	row, err := serialEqualsParallel("cluster parallel", workers, func(w int) (*ClusterRow, error) {
+		t0 := time.Now()
+		row, _, err := RunClusterCellParallel(seed, duration, 4, X9Shards, w, x9Link(), nil)
+		ms = append(ms, float64(time.Since(t0).Microseconds())/1000)
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster parallel (serial windows): %w", err)
+		return nil, err
 	}
-	serialMS := float64(time.Since(t0).Microseconds()) / 1000
-	t0 = time.Now()
-	parallel, err := RunClusterCellParallel(seed, duration, 4, X9Shards, workers, x9Link())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster parallel (%d workers): %w", workers, err)
-	}
-	parallelMS := float64(time.Since(t0).Microseconds()) / 1000
-	if *serial != *parallel {
-		return nil, fmt.Errorf("experiments: cluster parallel determinism violated: 1 worker %+v != %d workers %+v",
-			serial, workers, parallel)
-	}
-	res := &ClusterParallelResult{Row: *parallel, Workers: workers, SerialMS: serialMS, ParallelMS: parallelMS}
+	res := &ClusterParallelResult{Row: *row, Workers: workers, SerialMS: ms[0], ParallelMS: ms[1]}
 	res.Row.Scenario = "4 hosts, windowed"
 	return res, nil
 }

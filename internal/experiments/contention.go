@@ -72,19 +72,16 @@ type ContentionResults struct {
 	Rows     []ContentionRow
 }
 
-// contentionVariants is the app-count × quota × resolver grid.
-func contentionVariants() []struct {
+type contentionVariant struct {
 	name     string
 	apps     int
 	tight    bool
 	resolver core.Resolver
-} {
-	type v = struct {
-		name     string
-		apps     int
-		tight    bool
-		resolver core.Resolver
-	}
+}
+
+// contentionVariants is the app-count × quota × resolver grid.
+func contentionVariants() []contentionVariant {
+	type v = contentionVariant
 	var out []v
 	for _, apps := range []int{4, 12} {
 		for _, tight := range []bool{false, true} {
@@ -108,34 +105,23 @@ func contentionVariants() []struct {
 	return out
 }
 
-// RunContention executes the X8 grid through testbed.Sweep (one private
-// engine per cell; results bit-identical to a serial loop).
-func RunContention(seed int64, duration sim.Time) (*ContentionResults, error) {
-	return RunContentionWorkers(seed, duration, 0)
-}
-
-// RunContentionWorkers is RunContention with an explicit sweep worker
-// count (1 = serial), for serial-vs-parallel verification.
-func RunContentionWorkers(seed int64, duration sim.Time, workers int) (*ContentionResults, error) {
+// RunContention executes the X8 grid through testbed.Sweep on workers
+// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
+// results bit-identical for any workers value).
+func RunContention(seed int64, duration sim.Time, workers int) (*ContentionResults, error) {
 	variants := contentionVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
-		func(r testbed.Replica) (*ContentionRow, error) {
-			v := variants[r.Index]
-			row, err := RunContentionCell(r.Seed, duration, v.apps, v.tight, v.resolver)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := sweepRows(seed, len(variants), workers, func(seed int64, i int) (*ContentionRow, error) {
+		v := variants[i]
+		row, err := RunContentionCell(seed, duration, v.apps, v.tight, v.resolver)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: contention: %w", err)
 	}
-	out := &ContentionResults{Duration: duration}
-	for _, row := range rows {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &ContentionResults{Duration: duration, Rows: rows}, nil
 }
 
 // x8Worker counts messages arriving at the tenant's NIC-resident Offcode.

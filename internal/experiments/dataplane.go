@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -311,17 +312,17 @@ func (s *x12Shard) Checkpoint() []byte {
 	}
 	pipe := s.pipe.Checkpoint()
 	out := make([]byte, 0, 8+len(pipe)+len(s.queue)*x12RecBytes+7*8)
-	out = appendU32(out, uint32(len(pipe)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(pipe)))
 	out = append(out, pipe...)
-	out = appendU32(out, uint32(len(s.queue)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.queue)))
 	for _, rec := range s.queue {
 		out = append(out, rec.key.Encode()...)
-		out = appendU64(out, rec.seq)
-		out = appendU64(out, uint64(rec.sentAt))
+		out = binary.LittleEndian.AppendUint64(out, rec.seq)
+		out = binary.LittleEndian.AppendUint64(out, uint64(rec.sentAt))
 	}
 	for _, v := range []uint64{s.processed, s.qdrops, s.misrouted, s.logged,
 		s.inWindow, s.wHits, s.wMisses} {
-		out = appendU64(out, v)
+		out = binary.LittleEndian.AppendUint64(out, v)
 	}
 	s.cell.ckptDigest = s.pipe.Digest()
 	return out
@@ -339,7 +340,7 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("x12: shard checkpoint too short (%d bytes)", len(b))
 	}
-	pn := int(readU32(b))
+	pn := int(binary.LittleEndian.Uint32(b))
 	off := 4
 	if len(b) < off+pn+4 {
 		return fmt.Errorf("x12: shard checkpoint truncated at pipeline")
@@ -348,7 +349,7 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 		return err
 	}
 	off += pn
-	qn := int(readU32(b[off:]))
+	qn := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if len(b) != off+qn*x12RecBytes+7*8 {
 		return fmt.Errorf("x12: shard checkpoint is %d bytes, want %d for %d queued",
@@ -361,41 +362,18 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 			return err
 		}
 		rec := x12Packet{key: key,
-			seq:    readU64(b[off+flowtable.KeyBytes:]),
-			sentAt: sim.Time(readU64(b[off+flowtable.KeyBytes+8:]))}
+			seq:    binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes:]),
+			sentAt: sim.Time(binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes+8:]))}
 		s.queue = append(s.queue, rec)
 		off += x12RecBytes
 	}
 	for i, p := range []*uint64{&s.processed, &s.qdrops, &s.misrouted, &s.logged,
 		&s.inWindow, &s.wHits, &s.wMisses} {
-		*p = readU64(b[off+8*i:])
+		*p = binary.LittleEndian.Uint64(b[off+8*i:])
 	}
 	s.cell.restoreDigest = s.pipe.Digest()
 	s.cell.queuedAtSwap = qn
 	return nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func readU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }
 
 // x12Front is one host's RSS frontend: its own open-loop generator and
@@ -970,33 +948,21 @@ func RunDataPlane(seed int64, workers int) (*X12Results, error) {
 	}
 	out := &X12Results{Warmup: X12Warmup, Window: X12Window, Workers: workers}
 	for _, hosts := range X12HostGrid {
-		serial, err := RunX12Cell(seed, hosts, 1)
+		row, err := serialEqualsParallel(fmt.Sprintf("x12 %dh", hosts), workers, func(w int) (*X12Row, error) {
+			return RunX12Cell(seed, hosts, w)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: x12 %dh (serial): %w", hosts, err)
+			return nil, err
 		}
-		parallel, err := RunX12Cell(seed, hosts, workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: x12 %dh (%d workers): %w", hosts, workers, err)
-		}
-		if *serial != *parallel {
-			return nil, fmt.Errorf("experiments: x12 determinism violated at %d hosts:\n  serial   %+v\n  parallel %+v",
-				hosts, serial, parallel)
-		}
-		out.Rows = append(out.Rows, *serial)
+		out.Rows = append(out.Rows, *row)
 	}
-	soakSerial, err := RunX12Soak(seed, 1)
+	soak, err := serialEqualsParallel("x12 soak", workers, func(w int) (*X12Soak, error) {
+		return RunX12Soak(seed, w)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: x12 soak (serial): %w", err)
+		return nil, err
 	}
-	soakParallel, err := RunX12Soak(seed, workers)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: x12 soak (%d workers): %w", workers, err)
-	}
-	if *soakSerial != *soakParallel {
-		return nil, fmt.Errorf("experiments: x12 soak determinism violated:\n  serial   %+v\n  parallel %+v",
-			soakSerial, soakParallel)
-	}
-	out.Soak = *soakSerial
+	out.Soak = *soak
 	var one, four *X12Row
 	for i := range out.Rows {
 		switch out.Rows[i].Hosts {

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"hydra/internal/netmodel"
@@ -25,6 +26,41 @@ func sameSeed(seed int64, n int) []int64 {
 		seeds[i] = seed
 	}
 	return seeds
+}
+
+// sweepRows runs cell once per variant index 0..n-1 at one shared seed
+// through testbed.Sweep on workers goroutines (0 = GOMAXPROCS) and
+// returns the rows in variant order.
+func sweepRows[R any](seed int64, n, workers int, cell func(seed int64, i int) (*R, error)) ([]R, error) {
+	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, n), Workers: workers},
+		func(r testbed.Replica) (*R, error) { return cell(r.Seed, r.Index) })
+	if err != nil {
+		return nil, err
+	}
+	out := make([]R, len(rows))
+	for i, row := range rows {
+		out[i] = *row
+	}
+	return out, nil
+}
+
+// serialEqualsParallel runs run on one worker, then on workers, and
+// fails unless both results are deeply equal: the determinism contract
+// of every parallel path.
+func serialEqualsParallel[T any](what string, workers int, run func(workers int) (T, error)) (T, error) {
+	serial, err := run(1)
+	if err != nil {
+		return serial, fmt.Errorf("experiments: %s (serial): %w", what, err)
+	}
+	parallel, err := run(workers)
+	if err != nil {
+		return serial, fmt.Errorf("experiments: %s (%d workers): %w", what, workers, err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		return serial, fmt.Errorf("experiments: %s determinism violated:\n  serial   %+v\n  parallel %+v",
+			what, serial, parallel)
+	}
+	return serial, nil
 }
 
 // DefaultDuration mirrors a paper-scale run at reduced length: the paper

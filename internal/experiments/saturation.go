@@ -64,20 +64,17 @@ type SaturationResults struct {
 	Rows     []SaturationRow
 }
 
-// saturationVariants is the rate × policy grid: each rate runs per-message
-// delivery next to two batched/coalesced ring configurations.
-func saturationVariants() []struct {
+type saturationVariant struct {
 	name     string
 	rateHz   int
 	batch    int
 	coalesce sim.Time
-} {
-	type v = struct {
-		name     string
-		rateHz   int
-		batch    int
-		coalesce sim.Time
-	}
+}
+
+// saturationVariants is the rate × policy grid: each rate runs per-message
+// delivery next to two batched/coalesced ring configurations.
+func saturationVariants() []saturationVariant {
+	type v = saturationVariant
 	var out []v
 	for _, rate := range []int{5_000, 50_000} {
 		out = append(out,
@@ -94,40 +91,27 @@ func saturationVariants() []struct {
 // serial loop).
 func RunSaturation(seed int64, duration sim.Time) (*SaturationResults, error) {
 	variants := saturationVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants))},
-		func(r testbed.Replica) (*SaturationRow, error) {
-			v := variants[r.Index]
-			row, err := RunSaturationCell(r.Seed, duration, v.rateHz, v.batch, v.coalesce)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := sweepRows(seed, len(variants), 0, func(seed int64, i int) (*SaturationRow, error) {
+		v := variants[i]
+		row, _, err := RunSaturationCell(seed, duration, v.rateHz, v.batch, v.coalesce, nil)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: saturation: %w", err)
 	}
-	out := &SaturationResults{Duration: duration, MsgBytes: X7MsgBytes}
-	for _, row := range rows {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &SaturationResults{Duration: duration, MsgBytes: X7MsgBytes, Rows: rows}, nil
 }
 
 // RunSaturationCell streams NIC→host at rateHz for duration under one
 // batching policy and measures the host-side cost of receiving it
-// (cmd/chan-saturate drives single cells directly).
-func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time) (*SaturationRow, error) {
-	row, _, err := RunSaturationCellTraced(seed, duration, rateHz, batch, coalesce, nil)
-	return row, err
-}
-
-// RunSaturationCellTraced is RunSaturationCell with an optional trace
-// config: when trace is non-nil the cell runs with the recorder attached
-// and the Tracer comes back alongside the row so callers can export or
-// reconcile the trace (cmd/chan-saturate -trace, the x7 reconciliation
-// test).
-func RunSaturationCellTraced(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time, trace *obs.Config) (*SaturationRow, *obs.Tracer, error) {
+// (cmd/chan-saturate drives single cells directly). When trace is
+// non-nil the cell runs with the recorder attached and the Tracer comes
+// back alongside the row so callers can export or reconcile the trace;
+// a nil trace runs untraced.
+func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time, trace *obs.Config) (*SaturationRow, *obs.Tracer, error) {
 	spec := testbed.Spec{
 		Name: "x7-saturation",
 		Hosts: []testbed.HostSpec{{

@@ -402,21 +402,13 @@ func RunSyscalls(seed int64, workers int) (*X11Results, error) {
 	}
 	out := &X11Results{Window: X11Window, Workers: workers}
 	for _, rate := range X11Rates {
-		serial, err := RunX11Cell(seed, rate, 1)
+		rows, err := serialEqualsParallel(fmt.Sprintf("x11 @%d", rate), workers, func(w int) ([]X11Row, error) {
+			return RunX11Cell(seed, rate, w)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: x11 @%d (serial): %w", rate, err)
+			return nil, err
 		}
-		parallel, err := RunX11Cell(seed, rate, workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: x11 @%d (%d workers): %w", rate, workers, err)
-		}
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				return nil, fmt.Errorf("experiments: x11 determinism violated @%d:\n  serial   %+v\n  parallel %+v",
-					rate, serial[i], parallel[i])
-			}
-		}
-		out.Rows = append(out.Rows, serial...)
+		out.Rows = append(out.Rows, rows...)
 	}
 	swap, err := RunX11Swap(seed)
 	if err != nil {
